@@ -1,8 +1,14 @@
 """Bounded normalization and a Knuth-Bendix-style local-confluence check.
 
-`nf` rewrites deterministically (first innermost reduct: smallest position
-in preorder, then smallest rule index) and counts steps against a step
-budget, so results are reproducible and termination is never assumed.
+`nf` is a call-by-value evaluator: it normalizes the arguments of an
+application left to right, then tries the rules at its root in list
+order, and on a match goes on with the rule's right-hand side under the
+matching substitution.  That is the leftmost-innermost sequence of
+``rewriting.step(rules, t, Strategy.INNERMOST)[0]`` (smallest innermost
+redex position in preorder, then smallest rule index), found without
+building the other reducts.  The walk keeps its own stack, so the depth of
+a term costs no Python recursion.  Steps count against a step budget, so
+results are reproducible and termination is never assumed.
 
 `check_local_confluence` normalizes both sides of every critical pair.
 Two distinct normal forms reachable from one peak refute confluence
@@ -17,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import criticalpairs as _cp, rewriting
+from . import criticalpairs as _cp, rule as _rule, substitution, term as _term
 from .criticalpairs import CriticalPair
 from .rule import Rule
-from .rewriting import Strategy
-from .term import Term
+from .term import Fun, Term, Var
 
 
 @dataclass(frozen=True)
@@ -52,18 +57,75 @@ ConfluenceVerdict = LocallyConfluent | NotConfluent | Unknown
 
 
 def nf(rules: Sequence[Rule], t: Term, max_steps: int) -> NormalizationResult:
-    """Reduce ``t`` by the deterministic innermost strategy for at most
-    ``max_steps`` rewrite steps."""
-    current = t
+    """Reduce ``t`` leftmost-innermost for at most ``max_steps`` rewrite steps.
+
+    Each step is the one ``rewriting.step(rules, current,
+    Strategy.INNERMOST)[0]`` takes.  Once the budget is spent the walk goes
+    on without rewriting: at the next redex it stops with the current term
+    and ``reached_normal_form`` false; if there is none, the term is normal
+    and ``reached_normal_form`` is true, also when ``steps == max_steps``.
+    """
+    _rule.check_valid(rules)
+    by_root: dict = {}
+    for r in rules:
+        by_root.setdefault(r.lhs.symbol, []).append(r)
     steps = 0
+    # A frame is an application whose arguments are being normalized: its
+    # pattern, the substitution the pattern stands under (None for a subterm
+    # of ``t``, taken as it is) and the arguments normalized so far.
+    stack: list = []
+    pattern, sigma = t, None
     while True:
-        reducts = rewriting.step(rules, current, Strategy.INNERMOST)
-        if not reducts:
-            return NormalizationResult(current, steps, True)
-        if steps >= max_steps:
-            return NormalizationResult(current, steps, False)
-        current = reducts[0].result
-        steps += 1
+        # Go down the leftmost arguments of ``pattern`` to a leaf.
+        while isinstance(pattern, Fun) and pattern.args:
+            stack.append((pattern, sigma, []))
+            pattern = pattern.args[0]
+        if isinstance(pattern, Var):
+            # Variables of ``t`` are normal, and so are the images of a
+            # matching substitution: they are arguments already normalized.
+            value = pattern if sigma is None else sigma[pattern.name]
+            candidate = False
+        else:
+            value, candidate = pattern, True
+        # Go up with ``value``, a normal term unless ``candidate`` (its
+        # arguments are normal, its root is not tried yet), until a step
+        # or an argument not yet normalized gives a new pattern.
+        while True:
+            if candidate:
+                theta = None
+                for r in by_root.get(value.symbol, ()):
+                    theta = substitution.match(r.lhs, value)
+                    if theta is not None:
+                        break
+                if theta is not None:
+                    if steps >= max_steps:
+                        return NormalizationResult(_rebuild(value, stack), steps, False)
+                    steps += 1
+                    pattern, sigma = r.rhs, theta
+                    break
+            if not stack:
+                return NormalizationResult(value, steps, True)
+            parent, parent_sigma, done = stack[-1]
+            done.append(value)
+            if len(done) < len(parent.args):
+                pattern, sigma = parent.args[len(done)], parent_sigma
+                break
+            stack.pop()
+            if parent_sigma is None and all(a is b for a, b in zip(done, parent.args)):
+                value = parent
+            else:
+                value = Fun(parent.symbol, tuple(done))
+            candidate = True
+
+
+def _rebuild(hole: Term, stack: list) -> Term:
+    """The whole current term: ``hole`` plugged into the stacked frames."""
+    for pattern, sigma, done in reversed(stack):
+        rest = pattern.args[len(done) + 1 :]
+        if sigma is not None:
+            rest = tuple(substitution.apply_generalized(sigma, a) for a in rest)
+        hole = Fun(pattern.symbol, (*done, hole, *rest))
+    return hole
 
 
 def check_local_confluence(rules: Sequence[Rule], max_steps: int) -> ConfluenceVerdict:
@@ -73,7 +135,7 @@ def check_local_confluence(rules: Sequence[Rule], max_steps: int) -> ConfluenceV
         left = nf(rules, cp.left, max_steps)
         right = nf(rules, cp.right, max_steps)
         if left.reached_normal_form and right.reached_normal_form:
-            if left.term != right.term:
+            if not _term.equal(left.term, right.term):
                 return NotConfluent(cp, left.term, right.term)
         else:
             unresolved += 1

@@ -46,10 +46,15 @@ class CriticalPair:
 def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[CriticalPair]:
     """All critical pairs of ``rules``, in order of (outer rule, position, inner rule)."""
     _rule.check_valid(rules)
+    # Rule i's variant on each side; TaggedVar compares by value, so one
+    # variant per rule and side serves every overlap.
+    renamed = [_rule.rename_apart(r, r) for r in rules]
     out: list[CriticalPair] = []
     for j, outer in enumerate(rules):
-        for p in _term.positions(outer.lhs):
-            if isinstance(_term.subterm_at(outer.lhs, p), Var):
+        rho2 = renamed[j][1]
+        for p in _term.positions(rho2.lhs):
+            overlapped = _term.subterm_at(rho2.lhs, p)
+            if isinstance(overlapped, Var):
                 continue
             if scope is Scope.INNER and p == ():
                 continue
@@ -58,8 +63,8 @@ def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[Crit
             for i, inner in enumerate(rules):
                 if p == () and i == j:
                     continue
-                rho1, rho2 = _rule.rename_apart(inner, outer)
-                sigma = substitution.unify(rho1.lhs, _term.subterm_at(rho2.lhs, p))
+                rho1 = renamed[i][0]
+                sigma = substitution.unify(rho1.lhs, overlapped)
                 if sigma is None:
                     continue
                 top = substitution.apply(sigma, rho2.lhs)

@@ -111,6 +111,24 @@ def replace_at(t: Term, p: Sequence[int], s: Term) -> Term:
     return Fun(t.symbol, tuple(args))
 
 
+def equal(s: Term, t: Term) -> bool:
+    """``s == t`` without recursion, so terms of any depth compare; a pair
+    of identical subterms is not walked."""
+    stack = [(s, t)]
+    while stack:
+        s, t = stack.pop()
+        if s is t:
+            continue
+        if isinstance(s, Var) or isinstance(t, Var):
+            if s != t:
+                return False
+        elif s.symbol != t.symbol or len(s.args) != len(t.args):
+            return False
+        else:
+            stack.extend(zip(s.args, t.args))
+    return True
+
+
 def is_ground(t: Term) -> bool:
     if isinstance(t, Var):
         return False

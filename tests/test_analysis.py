@@ -1,14 +1,18 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from termgen import random_term, random_valid_rule, rule_strategy
-from trskit import analysis, criticalpairs, rewriting
+from trskit import analysis, criticalpairs, problem, rewriting, term
 from trskit.analysis import LocallyConfluent, NotConfluent, Unknown
 from trskit.rewriting import Strategy
 from trskit.rule import InvalidRuleError, Rule
 from trskit.term import Fun, Var
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 x = Var("x")
 a, b, c, d = Fun("a"), Fun("b"), Fun("c"), Fun("d")
@@ -49,6 +53,114 @@ def test_nf_deterministic_and_replayable():
             steps += 1
         assert current == res.term
         assert res.reached_normal_form == rewriting.is_normal_form(rules, res.term)
+
+
+def reference_nf(rules, t, max_steps):
+    """The one-step definition of `analysis.nf`: keep the first innermost reduct."""
+    current, steps = t, 0
+    while True:
+        reducts = rewriting.step(rules, current, Strategy.INNERMOST)
+        if not reducts:
+            return analysis.NormalizationResult(current, steps, True)
+        if steps >= max_steps:
+            return analysis.NormalizationResult(current, steps, False)
+        current = reducts[0].result
+        steps += 1
+
+
+def assert_same_result(rules, subject, budget):
+    got = analysis.nf(rules, subject, budget)
+    want = reference_nf(rules, subject, budget)
+    assert (got.steps, got.reached_normal_form) == (want.steps, want.reached_normal_form)
+    assert term.equal(got.term, want.term), (rules, subject, budget)
+
+
+def test_nf_replays_the_innermost_reference():
+    rng = random.Random(2024)
+    for _ in range(300):
+        rules = [random_valid_rule(rng) for _ in range(rng.randint(1, 5))]
+        for _ in range(3):
+            subject = random_term(rng, max_depth=3)
+            for budget in (0, 1, 2, 3, 5, 8):
+                assert_same_result(rules, subject, budget)
+
+
+def test_nf_replays_the_reference_on_edge_cases():
+    y = Var("y")
+    g = lambda *args: Fun("g", args)
+    cases = [
+        # normal form reached at exactly the budget, and one step short of it
+        ([Rule(f(x), x)], f(f(a)), 2),
+        ([Rule(f(x), x)], f(f(a)), 1),
+        # non-left-linear rule: fires only on equal arguments
+        ([Rule(f(x, x), a)], g(f(f(b, b), f(b, b))), 5),
+        ([Rule(f(x, x), a)], f(f(b, c), f(b, d)), 5),
+        # collapsing rule, and a rule whose right side has a redex above the collapse
+        ([Rule(g(x), x), Rule(f(x, y), g(f(y, x)))], f(g(a), g(b)), 3),
+        ([Rule(g(x), x), Rule(f(x, y), g(f(y, x)))], f(g(a), g(b)), 10),
+        # subject with variables; rule index decides between two root redexes
+        ([Rule(f(x, y), y), Rule(f(x, x), x), Rule(g(a), b)], f(g(x), f(y, g(a))), 3),
+        ([Rule(f(x, y), y), Rule(f(x, x), x), Rule(g(a), b)], f(g(x), f(y, g(a))), 1),
+        # redex inside a right-hand side, budget spent while rebuilding the context
+        ([Rule(a, g(b)), Rule(b, c), Rule(g(c), d)], f(a, f(a, b)), 0),
+        ([Rule(a, g(b)), Rule(b, c), Rule(g(c), d)], f(a, f(a, b)), 1),
+        ([Rule(a, g(b)), Rule(b, c), Rule(g(c), d)], f(a, f(a, b)), 4),
+        ([Rule(a, g(b)), Rule(b, c), Rule(g(c), d)], f(a, f(a, b)), 6),
+        ([Rule(a, g(b)), Rule(b, c), Rule(g(c), d)], f(a, f(a, b)), 9),
+        ([Rule(a, b)], x, 0),
+    ]
+    for rules, subject, budget in cases:
+        assert_same_result(rules, subject, budget)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+def numeral(n, succ="s", zero="0"):
+    t = Fun(zero)
+    for _ in range(n):
+        t = Fun(succ, (t,))
+    return t
+
+
+def test_nf_on_a_deep_argument(default_recursion_limit):
+    rules = problem.parse((CORPUS / "peano_plus.trs").read_text()).strict_rules
+    deep = numeral(10000)
+    res = analysis.nf(rules, Fun("plus", (Fun("0"), deep)), 5)
+    assert res.term is deep
+    assert (res.steps, res.reached_normal_form) == (1, True)
+
+
+def test_check_lc_compares_deep_normal_forms(default_recursion_limit):
+    e = lambda t: Fun("e", (t,))
+    dd = lambda t: Fun("d", (t,))
+    rules = [Rule(a, dd(numeral(300))), Rule(a, e(numeral(300))), Rule(e(x), dd(x))]
+    assert analysis.check_local_confluence(rules, 10) == LocallyConfluent()
+
+
+def test_check_lc_long_budget_on_diverging_choice(default_recursion_limit):
+    rules = problem.parse((CORPUS / "diverging_choice.trs").read_text()).strict_rules
+    assert analysis.check_local_confluence(rules, 3000) == Unknown(2)
+
+
+def test_nf_keeps_duplicated_arguments_shared():
+    p = lambda s, t: Fun("p", (s, t))
+    rules = [Rule(f(x), f(p(x, x))), Rule(f(a), b)]
+    res = analysis.nf(rules, f(a), 40)
+    assert (res.steps, res.reached_normal_form) == (40, False)
+    # The tree has 2**41 + 1 nodes; count the distinct objects instead.
+    seen, todo = {id(res.term)}, [res.term]
+    while todo:
+        for s in todo.pop().args:
+            if id(s) not in seen:
+                seen.add(id(s))
+                todo.append(s)
+    assert len(seen) == 42
 
 
 def test_check_lc_yes():

@@ -144,6 +144,24 @@ def test_instance_and_variant():
 
 
 @given(terms, terms)
+def test_equal_agrees_with_eq(t, u):
+    assert term.equal(t, u) == (t == u)
+    assert term.equal(t, term.from_json(term.to_json(t)))
+
+
+def test_equal_on_deep_terms():
+    def chain(n, leaf):
+        t = leaf
+        for _ in range(n):
+            t = g(t)
+        return t
+
+    assert term.equal(chain(10000, a), chain(10000, a))
+    assert not term.equal(chain(10000, a), chain(10000, b))
+    assert not term.equal(chain(10000, x), chain(10001, x))
+
+
+@given(terms, terms)
 def test_variant_matches_renaming_oracle(t, u):
     assert term.is_variant_of(t, u) == _variant_by_renaming(t, u)
 
