@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import criticalpairs as _cp, rule as _rule, substitution, term as _term
+from . import criticalpairs as _cp, rule as _rule, substitution
 from .criticalpairs import CriticalPair
 from .rule import Rule
 from .term import Fun, Term, Var
@@ -66,9 +66,7 @@ def nf(rules: Sequence[Rule], t: Term, max_steps: int) -> NormalizationResult:
     and ``reached_normal_form`` is true, also when ``steps == max_steps``.
     """
     _rule.check_valid(rules)
-    by_root: dict = {}
-    for r in rules:
-        by_root.setdefault(r.lhs.symbol, []).append(r)
+    by_root = _rule.index_by_root(rules)
     steps = 0
     # A frame is an application whose arguments are being normalized: its
     # pattern, the substitution the pattern stands under (None for a subterm
@@ -93,7 +91,7 @@ def nf(rules: Sequence[Rule], t: Term, max_steps: int) -> NormalizationResult:
         while True:
             if candidate:
                 theta = None
-                for r in by_root.get(value.symbol, ()):
+                for _, r in by_root.get(value.symbol, ()):
                     theta = substitution.match(r.lhs, value)
                     if theta is not None:
                         break
@@ -135,7 +133,7 @@ def check_local_confluence(rules: Sequence[Rule], max_steps: int) -> ConfluenceV
         left = nf(rules, cp.left, max_steps)
         right = nf(rules, cp.right, max_steps)
         if left.reached_normal_form and right.reached_normal_form:
-            if not _term.equal(left.term, right.term):
+            if left.term != right.term:
                 return NotConfluent(cp, left.term, right.term)
         else:
             unresolved += 1

@@ -4,24 +4,22 @@ Exit codes: 0 for success or an affirmative verdict, 1 for a negative
 finding (invalid rules in `props`, NO from `check-lc`), 2 for MAYBE and
 for input or usage errors (told apart by the stderr message and by the
 ``status`` field of ``--json`` output).
+
+Commands run on the calling thread at the interpreter's recursion limit:
+the library's traversals keep their own stacks, and so does the writer of
+``--json`` documents, so terms thousands of levels deep need nothing more.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import threading
+from json.encoder import encode_basestring_ascii
 
 from . import analysis, criticalpairs, problem, rewriting, term
 from .criticalpairs import Scope
 from .rewriting import Strategy
 from .rule import InvalidRuleError
-
-# Rewrite chains may nest terms thousands of levels deep; commands run on
-# a worker thread with a large stack so recursive term traversals hold up.
-_STACK_BYTES = 512 * 1024 * 1024
-_RECURSION_LIMIT = 150_000
 
 _STRATEGY_FLAGS = {
     "full": Strategy.FULL,
@@ -35,10 +33,6 @@ _SCOPE_FLAGS = {"all": Scope.ALL, "inner": Scope.INNER, "outer": Scope.OUTER}
 
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
-    return _on_worker(lambda: _dispatch(args))
-
-
-def _dispatch(args) -> int:
     try:
         return args.func(args)
     except (problem.ParseError, InvalidRuleError, OSError) as e:
@@ -53,7 +47,68 @@ def _fail(args, message: str) -> int:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    _write_json(obj, sys.stdout.write)
+    print()
+
+
+# Pieces of text gathered before one call of ``write``.
+_BATCH = 4096
+
+
+def _write_json(obj, write) -> None:
+    """Write the text of ``json.dumps(obj, indent=2)`` through ``write``, for
+    dicts with string keys, lists, strings, ints, bools and ``None``.
+
+    The writer keeps its own stack, so documents of any depth need no
+    recursion, and hands the text over in batches, so the whole document
+    is never held as one string.
+    """
+    out: list[str] = []
+    # Values still to write, each with the newline and indentation of its
+    # line, and the punctuation between them as plain strings.
+    stack: list = [(obj, "\n")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        o, nl = item
+        if isinstance(o, str):
+            out.append(encode_basestring_ascii(o))
+        elif o is None:
+            out.append("null")
+        elif o is True:
+            out.append("true")
+        elif o is False:
+            out.append("false")
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        elif isinstance(o, (dict, list)):
+            if len(out) > _BATCH:
+                write("".join(out))
+                out.clear()
+            is_dict = isinstance(o, dict)
+            if not o:
+                out.append("{}" if is_dict else "[]")
+                continue
+            out.append("{" if is_dict else "[")
+            stack.append("}" if is_dict else "]")
+            stack.append(nl)
+            inner = nl + "  "
+            items = list(o.items()) if is_dict else o
+            for k in range(len(items) - 1, -1, -1):
+                if is_dict:
+                    key, value = items[k]
+                    stack.append((value, inner))
+                    stack.append(encode_basestring_ascii(key) + ": ")
+                else:
+                    stack.append((items[k], inner))
+                stack.append(inner)
+                if k:
+                    stack.append(",")
+        else:
+            raise TypeError(f"cannot write {type(o).__name__} as JSON")
+    write("".join(out))
 
 
 def _load(args) -> problem.Problem:
@@ -192,31 +247,6 @@ def cmd_check_lc(args) -> int:
         print("MAYBE")
         print(f"unresolved critical pairs: {verdict.unresolved}")
     return 2
-
-
-def _on_worker(fn):
-    box: dict = {}
-
-    def run() -> None:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(_RECURSION_LIMIT)
-        try:
-            box["code"] = fn()
-        except BaseException as e:
-            box["error"] = e
-        finally:
-            sys.setrecursionlimit(limit)
-
-    old = threading.stack_size(_STACK_BYTES)
-    try:
-        worker = threading.Thread(target=run, name="trskit-command")
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(old)
-    if "error" in box:
-        raise box["error"]
-    return box["code"]
 
 
 def _arg_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,9 @@
 """Contexts: terms with exactly one hole.
 
 The hole count is guaranteed structurally: a ``CFun`` node has exactly one
-context child, so every context contains exactly one ``Hole``.
+context child, so every context contains exactly one ``Hole``.  Like the
+term traversals, those here walk the spine of a context with a loop, so
+contexts of any depth work at Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -20,12 +22,32 @@ class Hole:
         return "[]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CFun:
     symbol: Hashable
     before: tuple[Term, ...]
     inner: "Context"
     after: tuple[Term, ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CFun):
+            return NotImplemented
+        c, d = self, other
+        while isinstance(c, CFun) and isinstance(d, CFun):
+            if c is d:
+                return True
+            if (c.symbol, c.before, c.after) != (d.symbol, d.before, d.after):
+                return False
+            c, d = c.inner, d.inner
+        return c == d
+
+    def __hash__(self) -> int:
+        layers = []
+        c: Context = self
+        while isinstance(c, CFun):
+            layers.append((c.symbol, c.before, c.after))
+            c = c.inner
+        return hash(tuple(layers))
 
     def __str__(self) -> str:
         return render(self)
@@ -38,32 +60,44 @@ HOLE = Hole()
 
 def of_term(t: Term, p: Sequence[int]) -> Context:
     """The context obtained by cutting the subterm of ``t`` at ``p`` out."""
-    if not p:
-        return HOLE
-    i = p[0]
-    if isinstance(t, Var) or not 0 <= i < len(t.args):
-        raise InvalidPositionError(f"no subterm at index {i}")
-    return CFun(t.symbol, t.args[:i], of_term(t.args[i], p[1:]), t.args[i + 1 :])
+    above = []
+    for i in p:
+        if isinstance(t, Var) or not 0 <= i < len(t.args):
+            raise InvalidPositionError(f"no subterm at index {i}")
+        above.append((t, i))
+        t = t.args[i]
+    c: Context = HOLE
+    for t, i in reversed(above):
+        c = CFun(t.symbol, t.args[:i], c, t.args[i + 1 :])
+    return c
 
 
 def plug(c: Context, s: Term) -> Term:
     """Replace the hole with ``s``."""
-    if isinstance(c, Hole):
-        return s
-    return Fun(c.symbol, c.before + (plug(c.inner, s),) + c.after)
+    layers = []
+    while isinstance(c, CFun):
+        layers.append(c)
+        c = c.inner
+    for c in reversed(layers):
+        s = Fun(c.symbol, c.before + (s,) + c.after)
+    return s
 
 
 def hole_position(c: Context) -> Position:
-    if isinstance(c, Hole):
-        return ()
-    return (len(c.before),) + hole_position(c.inner)
+    p = []
+    while isinstance(c, CFun):
+        p.append(len(c.before))
+        c = c.inner
+    return tuple(p)
 
 
 def render(c: Context) -> str:
     """Rendered like a term with ``[]`` at the hole, e.g. ``f(a,[])``."""
-    if isinstance(c, Hole):
-        return "[]"
-    parts = [_term.render(a) for a in c.before]
-    parts.append(render(c.inner))
-    parts.extend(_term.render(a) for a in c.after)
-    return f"{c.symbol}({','.join(parts)})"
+    head, tail = [], []
+    while isinstance(c, CFun):
+        head.append(f"{c.symbol}(")
+        head.extend(_term.render(a) + "," for a in c.before)
+        tail.append(")")
+        tail.extend("," + _term.render(a) for a in reversed(c.after))
+        c = c.inner
+    return "".join(head) + "[]" + "".join(reversed(tail))

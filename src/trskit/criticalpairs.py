@@ -49,6 +49,7 @@ def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[Crit
     # Rule i's variant on each side; TaggedVar compares by value, so one
     # variant per rule and side serves every overlap.
     renamed = [_rule.rename_apart(r, r) for r in rules]
+    by_root = _rule.index_by_root(rules)
     out: list[CriticalPair] = []
     for j, outer in enumerate(rules):
         rho2 = renamed[j][1]
@@ -60,7 +61,9 @@ def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[Crit
                 continue
             if scope is Scope.OUTER and p != ():
                 continue
-            for i, inner in enumerate(rules):
+            # Only rules whose left-hand side has the overlapped root symbol
+            # can unify with it.
+            for i, inner in by_root.get(overlapped.symbol, ()):
                 if p == () and i == j:
                     continue
                 rho1 = renamed[i][0]

@@ -5,6 +5,9 @@ together with the redex position, the rule as listed (not renamed), its
 index, and the matching substitution.  Strategies are position filters:
 they select a subset of the full reduct list and never reorder it, so
 reducts always come sorted by position (preorder) and then rule index.
+`step` finds the redexes in one preorder walk that keeps its own stack,
+tries only the rules whose left-hand side has the node's root symbol, and
+builds the reduct terms only for the redexes the strategy admits.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Mapping, Sequence
 from . import position as _position, rule as _rule, substitution, term as _term
 from .position import Position
 from .rule import Rule
-from .term import Fun, Term
+from .term import Term, Var
 
 
 class Strategy(enum.Enum):
@@ -54,41 +57,58 @@ def step(rules: Sequence[Rule], subject: Term, strategy: Strategy = Strategy.FUL
     rule index.
     """
     _rule.check_valid(rules)
-    reducts: list[Reduct] = []
-
-    def visit(t: Term, at: Position) -> None:
-        for i, r in enumerate(rules):
+    by_root = _rule.index_by_root(rules)
+    # Redexes in preorder as [path, depth, matches, innermost]; a path is
+    # None at the root and (parent path, argument index) below it.
+    redexes: list = []
+    # The smallest depth visited since the last redex: that redex has one
+    # below it exactly when the walk reaches the next redex without
+    # leaving its subtree.
+    low = 0
+    stack: list = [(subject, None, 0)]
+    while stack:
+        t, path, depth = stack.pop()
+        low = min(low, depth)
+        if isinstance(t, Var):
+            continue
+        matches = []
+        for i, r in by_root.get(t.symbol, ()):
             sigma = substitution.match(r.lhs, t)
-            if sigma is None:
+            if sigma is not None:
+                matches.append((i, r, sigma))
+        if matches:
+            if redexes and low > redexes[-1][1]:
+                redexes[-1][3] = False
+            redexes.append([path, depth, matches, True])
+            low = depth + 1
+            if strategy is Strategy.OUTERMOST:
                 continue
+        if strategy is Strategy.ROOT:
+            break
+        for k in range(len(t.args) - 1, -1, -1):
+            stack.append((t.args[k], (path, k), depth + 1))
+
+    reducts: list[Reduct] = []
+    for path, _, matches, innermost in redexes:
+        if strategy is Strategy.INNERMOST and not innermost:
+            continue
+        at = _position_of(path)
+        for i, r, sigma in matches:
             contractum = substitution.apply_generalized(sigma, r.rhs)
             reducts.append(Reduct(_term.replace_at(subject, at, contractum), at, r, i, sigma))
-        if isinstance(t, Fun):
-            for k, a in enumerate(t.args):
-                visit(a, at + (k,))
+    return reducts
 
-    visit(subject, ())
 
-    if strategy is Strategy.FULL:
-        return reducts
-    if strategy is Strategy.ROOT:
-        return [r for r in reducts if r.pos == ()]
-    redexes = {r.pos for r in reducts}
-    if strategy is Strategy.OUTERMOST:
-        return [
-            r
-            for r in reducts
-            if not any(r.pos[:k] in redexes for k in range(len(r.pos)))
-        ]
-    return [
-        r
-        for r in reducts
-        if not any(q != r.pos and q[: len(r.pos)] == r.pos for q in redexes)
-    ]
+def _position_of(path) -> Position:
+    p = []
+    while path is not None:
+        path, k = path
+        p.append(k)
+    return tuple(reversed(p))
 
 
 def is_normal_form(rules: Sequence[Rule], t: Term) -> bool:
-    return not step(rules, t, Strategy.FULL)
+    return not step(rules, t, Strategy.OUTERMOST)
 
 
 def list_properties(rules: Sequence[Rule]) -> ListProperties:

@@ -63,6 +63,15 @@ def check_valid(rules: Sequence[Rule]) -> None:
             raise InvalidRuleError(f"rule {i} is not a valid rewrite rule: {render(r)}")
 
 
+def index_by_root(rules: Sequence[Rule]) -> dict:
+    """Map the root symbol of each left-hand side to its ``(index, rule)``
+    pairs in list order; the rules must be valid."""
+    index: dict = {}
+    for i, r in enumerate(rules):
+        index.setdefault(r.lhs.symbol, []).append((i, r))
+    return index
+
+
 def properties(r: Rule) -> RuleProperties:
     lhs_counts = Counter(_term.vars(r.lhs))
     rhs_counts = Counter(_term.vars(r.rhs))

@@ -27,22 +27,34 @@ def apply(sigma: Mapping, t: Term) -> Term:
     """Homomorphic extension of ``sigma``; unmapped variables map to themselves."""
     if isinstance(t, Var):
         return sigma.get(t.name, t)
-    if not sigma:
+    if not sigma or not t.args:
         return t
-    return Fun(t.symbol, tuple(apply(sigma, a) for a in t.args))
+    # A frame is an application, its arguments not yet substituted and
+    # those substituted so far.
+    stack = [(t, iter(t.args), [])]
+    while True:
+        node, rest, done = stack[-1]
+        for a in rest:
+            if isinstance(a, Var):
+                done.append(sigma.get(a.name, a))
+            elif a.args:
+                stack.append((a, iter(a.args), []))
+                break
+            else:
+                done.append(a)
+        else:
+            stack.pop()
+            s = Fun(node.symbol, tuple(done))
+            if not stack:
+                return s
+            stack[-1][2].append(s)
 
 
 def apply_generalized(sigma: Mapping, t: Term) -> Optional[Term]:
     """Fully substitute ``t``, or return ``None`` if some variable is unmapped."""
-    if isinstance(t, Var):
-        return sigma.get(t.name)
-    args = []
-    for a in t.args:
-        s = apply_generalized(sigma, a)
-        if s is None:
-            return None
-        args.append(s)
-    return Fun(t.symbol, tuple(args))
+    if all(v in sigma for v in _term.vars(t)):
+        return apply(sigma, t)
+    return None
 
 
 def compose(sigma: Mapping, tau: Mapping) -> Substitution:
@@ -113,9 +125,15 @@ def unify(s: Term, t: Term) -> Optional[Substitution]:
 
 
 def _occurs(name: Hashable, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    return any(_occurs(name, a) for a in t.args)
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Var):
+            if s.name == name:
+                return True
+        else:
+            stack.extend(s.args)
+    return False
 
 
 def to_generalized(sigma: Mapping, variables: Iterable[Hashable]) -> GeneralizedSubstitution:

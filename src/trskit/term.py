@@ -4,6 +4,9 @@ Terms are immutable trees.  Variable and function-symbol identifiers are
 opaque: anything hashable with equality works (strings in practice,
 tagged pairs when rules are renamed apart).  A constant is a ``Fun`` with
 no arguments; there is no separate constructor for it.
+
+Every traversal here, ``==`` and ``hash`` included, keeps its own stack,
+so terms of any depth work at Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -28,13 +31,49 @@ class Var:
         return str(self.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fun:
     symbol: Hashable
     args: tuple["Term", ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
+
+    def __eq__(self, other: object) -> bool:
+        """Structural equality; a pair of identical subterms is not walked."""
+        if not isinstance(other, Fun):
+            return NotImplemented
+        if self.symbol != other.symbol or len(self.args) != len(other.args):
+            return False
+        if self is other:
+            return True
+        stack = list(zip(self.args, other.args))
+        while stack:
+            s, t = stack.pop()
+            if s is t:
+                continue
+            if isinstance(s, Var) or isinstance(t, Var):
+                if s != t:
+                    return False
+            elif s.symbol != t.symbol or len(s.args) != len(t.args):
+                return False
+            else:
+                stack.extend(zip(s.args, t.args))
+        return True
+
+    def __hash__(self) -> int:
+        # Equal terms give equal sequences of variables and (symbol, arity)
+        # pairs in this walk.
+        nodes = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var):
+                nodes.append(t)
+            else:
+                nodes.append((t.symbol, len(t.args)))
+                stack.extend(t.args)
+        return hash(tuple(nodes))
 
     def __str__(self) -> str:
         return render(self)
@@ -44,36 +83,60 @@ Term = Var | Fun
 
 
 def fold(t: Term, on_var: Callable[[Any], A], on_fun: Callable[[Any, list[A]], A]) -> A:
-    """Structural recursion: ``on_var`` at leaves, ``on_fun`` on folded children."""
-    if isinstance(t, Var):
-        return on_var(t.name)
-    return on_fun(t.symbol, [fold(a, on_var, on_fun) for a in t.args])
+    """Structural recursion: ``on_var`` at leaves, ``on_fun`` on folded children.
+
+    Leaves are visited left to right and each application after its
+    arguments; the walk keeps its own stack.
+    """
+    values: list = []
+    # An application waiting for its folded arguments is pushed as a 1-tuple.
+    stack: list = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Var):
+            values.append(on_var(s.name))
+        elif isinstance(s, Fun):
+            if s.args:
+                stack.append((s,))
+                stack.extend(s.args[::-1])
+            else:
+                values.append(on_fun(s.symbol, []))
+        else:
+            (s,) = s
+            n = len(s.args)
+            folded = values[-n:]
+            del values[-n:]
+            values.append(on_fun(s.symbol, folded))
+    return values[0]
 
 
 def map_symbols(t: Term, on_var: Callable[[Any], Any], on_fun: Callable[[Any], Any]) -> Term:
     """Rename every variable via ``on_var`` and every function symbol via ``on_fun``."""
-    if isinstance(t, Var):
-        return Var(on_var(t.name))
-    return Fun(on_fun(t.symbol), tuple(map_symbols(a, on_var, on_fun) for a in t.args))
+    return fold(t, lambda v: Var(on_var(v)), lambda f, args: Fun(on_fun(f), tuple(args)))
 
 
 def vars(t: Term) -> list:
     """All variable occurrences in preorder, duplicates preserved."""
-    if isinstance(t, Var):
-        return [t.name]
     out: list = []
-    for a in t.args:
-        out.extend(vars(a))
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Var):
+            out.append(s.name)
+        elif s.args:
+            stack.extend(s.args[::-1])
     return out
 
 
 def funs(t: Term) -> list:
     """All function-symbol occurrences in preorder, duplicates preserved."""
-    if isinstance(t, Var):
-        return []
-    out = [t.symbol]
-    for a in t.args:
-        out.extend(funs(a))
+    out: list = []
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Fun):
+            out.append(s.symbol)
+            stack.extend(s.args[::-1])
     return out
 
 
@@ -83,10 +146,14 @@ def size(t: Term) -> int:
 
 def positions(t: Term) -> list[Position]:
     """All positions of ``t`` in preorder: root first, then children left to right."""
-    out: list[Position] = [()]
-    if isinstance(t, Fun):
-        for i, a in enumerate(t.args):
-            out.extend((i,) + p for p in positions(a))
+    out: list[Position] = []
+    stack: list = [((), t)]
+    while stack:
+        p, s = stack.pop()
+        out.append(p)
+        if isinstance(s, Fun):
+            for i in range(len(s.args) - 1, -1, -1):
+                stack.append((p + (i,), s.args[i]))
     return out
 
 
@@ -101,38 +168,19 @@ def subterm_at(t: Term, p: Sequence[int]) -> Term:
 
 def replace_at(t: Term, p: Sequence[int], s: Term) -> Term:
     """``t`` with the subterm at ``p`` replaced by ``s``."""
-    if not p:
-        return s
-    i = p[0]
-    if isinstance(t, Var) or not 0 <= i < len(t.args):
-        raise InvalidPositionError(f"no subterm at index {i}")
-    args = list(t.args)
-    args[i] = replace_at(args[i], p[1:], s)
-    return Fun(t.symbol, tuple(args))
-
-
-def equal(s: Term, t: Term) -> bool:
-    """``s == t`` without recursion, so terms of any depth compare; a pair
-    of identical subterms is not walked."""
-    stack = [(s, t)]
-    while stack:
-        s, t = stack.pop()
-        if s is t:
-            continue
-        if isinstance(s, Var) or isinstance(t, Var):
-            if s != t:
-                return False
-        elif s.symbol != t.symbol or len(s.args) != len(t.args):
-            return False
-        else:
-            stack.extend(zip(s.args, t.args))
-    return True
+    above = []
+    for i in p:
+        if isinstance(t, Var) or not 0 <= i < len(t.args):
+            raise InvalidPositionError(f"no subterm at index {i}")
+        above.append((t, i))
+        t = t.args[i]
+    for t, i in reversed(above):
+        s = Fun(t.symbol, t.args[:i] + (s,) + t.args[i + 1 :])
+    return s
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground(a) for a in t.args)
+    return not vars(t)
 
 
 def is_linear(t: Term) -> bool:
@@ -154,20 +202,64 @@ def is_variant_of(t: Term, u: Term) -> bool:
 
 def render(t: Term) -> str:
     """Canonical text: ``f(t1,...,tn)`` without spaces, constants without parens."""
-    if isinstance(t, Var):
-        return str(t.name)
-    if not t.args:
-        return str(t.symbol)
-    return f"{t.symbol}({','.join(render(a) for a in t.args)})"
+    out: list[str] = []
+    # Terms still to render, and the punctuation between them as strings.
+    stack: list = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, str):
+            out.append(s)
+        elif isinstance(s, Var):
+            out.append(str(s.name))
+        elif not s.args:
+            out.append(str(s.symbol))
+        else:
+            out.append(f"{s.symbol}(")
+            stack.append(")")
+            args = s.args
+            for i in range(len(args) - 1, 0, -1):
+                stack.append(args[i])
+                stack.append(",")
+            stack.append(args[0])
+    return "".join(out)
 
 
 def to_json(t: Term) -> dict:
     if isinstance(t, Var):
         return {"var": str(t.name)}
-    return {"fun": str(t.symbol), "args": [to_json(a) for a in t.args]}
+    root = {"fun": str(t.symbol), "args": []}
+    # Applications whose argument list in the output is still empty.
+    stack = [(t.args, root["args"])]
+    while stack:
+        args, out = stack.pop()
+        for a in args:
+            if isinstance(a, Var):
+                out.append({"var": str(a.name)})
+            else:
+                obj = {"fun": str(a.symbol), "args": []}
+                out.append(obj)
+                if a.args:
+                    stack.append((a.args, obj["args"]))
+    return root
 
 
 def from_json(obj: dict) -> Term:
     if "var" in obj:
         return Var(obj["var"])
-    return Fun(obj["fun"], tuple(from_json(a) for a in obj["args"]))
+    # A frame is an application, its arguments not yet converted and those
+    # converted so far.
+    stack = [(obj, iter(obj["args"]), [])]
+    while True:
+        node, rest, done = stack[-1]
+        for a in rest:
+            if "var" in a:
+                done.append(Var(a["var"]))
+            else:
+                stack.append((a, iter(a["args"]), []))
+                break
+        else:
+            stack.pop()
+            t = Fun(node["fun"], tuple(done))
+            if not stack:
+                return t
+            stack[-1][2].append(t)

@@ -1,12 +1,11 @@
 import random
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from termgen import random_term, random_valid_rule, rule_strategy
-from trskit import analysis, criticalpairs, problem, rewriting, term
+from trskit import analysis, criticalpairs, problem, rewriting
 from trskit.analysis import LocallyConfluent, NotConfluent, Unknown
 from trskit.rewriting import Strategy
 from trskit.rule import InvalidRuleError, Rule
@@ -72,7 +71,7 @@ def assert_same_result(rules, subject, budget):
     got = analysis.nf(rules, subject, budget)
     want = reference_nf(rules, subject, budget)
     assert (got.steps, got.reached_normal_form) == (want.steps, want.reached_normal_form)
-    assert term.equal(got.term, want.term), (rules, subject, budget)
+    assert got.term == want.term, (rules, subject, budget)
 
 
 def test_nf_replays_the_innermost_reference():
@@ -113,14 +112,6 @@ def test_nf_replays_the_reference_on_edge_cases():
         assert_same_result(rules, subject, budget)
 
 
-@pytest.fixture
-def default_recursion_limit():
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(saved)
-
-
 def numeral(n, succ="s", zero="0"):
     t = Fun(zero)
     for _ in range(n):
@@ -141,6 +132,18 @@ def test_check_lc_compares_deep_normal_forms(default_recursion_limit):
     dd = lambda t: Fun("d", (t,))
     rules = [Rule(a, dd(numeral(300))), Rule(a, e(numeral(300))), Rule(e(x), dd(x))]
     assert analysis.check_local_confluence(rules, 10) == LocallyConfluent()
+
+
+def test_non_left_linear_rule_on_separately_built_numerals(default_recursion_limit):
+    # Matching f(x,x) compares the two arguments with ==; they are equal
+    # but distinct objects, so the comparison walks all 400 levels.
+    n1, n2 = numeral(400), numeral(400)
+    assert n1 is not n2
+    res = analysis.nf([Rule(f(x, x), a)], f(n1, n2), 5)
+    assert (res.term, res.steps, res.reached_normal_form) == (a, 1, True)
+    c = Fun("c")
+    rules = [Rule(f(x, x), a), Rule(c, f(numeral(400), numeral(400))), Rule(c, a)]
+    assert analysis.check_local_confluence(rules, 5) == LocallyConfluent()
 
 
 def test_check_lc_long_budget_on_diverging_choice(default_recursion_limit):

@@ -1,5 +1,8 @@
+import io
 import json
 from pathlib import Path
+
+from hypothesis import given, strategies as st
 
 from trskit import cli
 
@@ -217,3 +220,50 @@ def test_theory_warning(tmp_path, capsys):
     code, _, err = run(capsys, "parse", path)
     assert code == 0
     assert "THEORY" in err
+
+
+DEEP_PLUS = "plus(0," + "s(" * 3000 + "0" + ")" * 3000 + ")"
+DEEP_NUMERAL = "s(" * 3000 + "0" + ")" * 3000
+
+
+def test_normalize_deep_term_at_default_recursion_limit(capsys, default_recursion_limit):
+    peano = str(CORPUS / "peano_plus.trs")
+    code, out, _ = run(capsys, "normalize", peano, DEEP_PLUS)
+    assert code == 0
+    assert out == f"{DEEP_NUMERAL}\nsteps: 1\nNORMAL FORM\n"
+
+
+def test_normalize_json_deep_term_at_default_recursion_limit(capsys, default_recursion_limit):
+    peano = str(CORPUS / "peano_plus.trs")
+    code, out, _ = run(capsys, "normalize", "--json", peano, DEEP_PLUS)
+    assert code == 0
+    # json.loads would need deep recursion, so check the shape and the
+    # length of json.dumps(indent=2) for this document.
+    assert out.startswith('{\n  "term": {\n    "fun": "s",\n    "args": [\n      {\n')
+    assert out.endswith('  },\n  "steps": 1,\n  "status": "NORMAL FORM"\n}\n')
+    assert out.count('"fun": "s"') == 3000
+    assert len(out) == 90150092
+
+
+def test_rewrite_inner_deep_term_at_default_recursion_limit(capsys, default_recursion_limit):
+    peano = str(CORPUS / "peano_plus.trs")
+    code, out, _ = run(capsys, "rewrite", peano, DEEP_PLUS, "--strategy", "inner")
+    assert code == 0
+    assert out == (
+        f"{DEEP_NUMERAL} @ [] by (plus(0,y) -> y) with {{y -> {DEEP_NUMERAL}}}\nreducts: 1\n"
+    )
+
+
+json_text = st.text() | st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aé€\u2028😀'))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_json_writer_matches_json_dumps(obj):
+    buf = io.StringIO()
+    cli._write_json(obj, buf.write)
+    assert buf.getvalue() == json.dumps(obj, indent=2)

@@ -145,20 +145,25 @@ def test_instance_and_variant():
 
 @given(terms, terms)
 def test_equal_agrees_with_eq(t, u):
-    assert term.equal(t, u) == (t == u)
-    assert term.equal(t, term.from_json(term.to_json(t)))
+    # The JSON documents compare as nested dicts and lists.
+    assert (t == u) == (term.to_json(t) == term.to_json(u))
+    assert (t != u) == (not t == u)
+    copy = term.from_json(term.to_json(t))
+    assert t == copy and hash(t) == hash(copy)
 
 
-def test_equal_on_deep_terms():
+def test_equal_on_deep_terms(default_recursion_limit):
     def chain(n, leaf):
         t = leaf
         for _ in range(n):
             t = g(t)
         return t
 
-    assert term.equal(chain(10000, a), chain(10000, a))
-    assert not term.equal(chain(10000, a), chain(10000, b))
-    assert not term.equal(chain(10000, x), chain(10001, x))
+    assert chain(10000, a) == chain(10000, a)
+    assert hash(chain(10000, a)) == hash(chain(10000, a))
+    assert chain(10000, a) != chain(10000, b)
+    assert chain(10000, x) != chain(10001, x)
+    assert f(chain(10000, a), x) != f(chain(10000, a), y)
 
 
 @given(terms, terms)
