@@ -49,6 +49,15 @@ class CFun:
             c = c.inner
         return hash(tuple(layers))
 
+    def __repr__(self) -> str:
+        head, tail = [], []
+        c: Context = self
+        while isinstance(c, CFun):
+            head.append(f"CFun(symbol={c.symbol!r}, before={c.before!r}, inner=")
+            tail.append(f", after={c.after!r})")
+            c = c.inner
+        return "".join(head) + repr(c) + "".join(reversed(tail))
+
     def __str__(self) -> str:
         return render(self)
 

@@ -1,4 +1,4 @@
-"""Reading and writing rewrite problems in the WST (old TPDB) text format.
+r"""Reading and writing rewrite problems in the WST (old TPDB) text format.
 
 A problem file is a sequence of parenthesized sections::
 
@@ -22,12 +22,20 @@ sets a warning flag since its semantics are not interpreted here.
 
 Function symbols must be used with one arity throughout; parsing fails
 otherwise unless the check is explicitly disabled.
+
+Whitespace is every character that ``str.isspace()`` accepts; in the
+latin-1 text that the CLI reads, that includes ``\x1c``-``\x1f``, ``\x85``
+and ``\xa0``.  `ParseError` carries a 1-based line and column.  Only
+``\n`` ends a line; every other character, tab and ``\r`` included, is one
+column.  An error at the end of the input points just past its last
+character.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from . import rule as _rule, term as _term
 from .rewriting import Strategy
@@ -62,15 +70,10 @@ class Problem:
         )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # lparen rparen comma quote ident arrow
-    text: str
-    line: int
-    col: int
-
-
-_SPECIAL = {"(": "lparen", ")": "rparen", ",": "comma", '"': "quote"}
+# A token is a special character or a maximal run of other non-whitespace;
+# its kind is lparen, rparen, comma, quote, arrow or ident.
+_KINDS = {"(": "lparen", ")": "rparen", ",": "comma", '"': "quote", "->": "arrow", "->=": "arrow"}
+_TOKEN = re.compile(r'\s*([(),"]|[^\s(),"]+)')
 
 _STRATEGY_NAMES = {
     "FULL": Strategy.FULL,
@@ -79,156 +82,94 @@ _STRATEGY_NAMES = {
 }
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.line = 1
-        self.col = 1
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` for every token of ``text``, in order."""
+    return [(_KINDS.get(m[1], "ident"), m[1], m.start(1)) for m in _TOKEN.finditer(text)]
 
-    def at_eof(self) -> bool:
-        return self.i >= len(self.text)
 
-    def fail(self, message: str) -> None:
-        raise ParseError(message, self.line, self.col)
+def _error(text: str, message: str, off: int) -> ParseError:
+    """A `ParseError` at offset ``off`` of ``text``."""
+    return ParseError(message, text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
 
-    def _step(self) -> None:
-        if self.text[self.i] == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        self.i += 1
 
-    def skip_ws(self) -> None:
-        while not self.at_eof() and self.text[self.i].isspace():
-            self._step()
-
-    def next_token(self) -> _Token:
-        line, col = self.line, self.col
-        c = self.text[self.i]
-        if c in _SPECIAL:
-            self._step()
-            return _Token(_SPECIAL[c], c, line, col)
-        start = self.i
-        while not self.at_eof():
-            c = self.text[self.i]
-            if c.isspace() or c in _SPECIAL:
-                break
-            self._step()
-        text = self.text[start : self.i]
-        kind = "arrow" if text in ("->", "->=") else "ident"
-        return _Token(kind, text, line, col)
-
-    def capture_raw(self) -> str:
-        """Consume verbatim text up to the matching ')' of the open section."""
-        start = self.i
-        depth = 0
-        while not self.at_eof():
-            c = self.text[self.i]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                if depth == 0:
-                    raw = self.text[start : self.i]
-                    self._step()
-                    return raw
-                depth -= 1
-            self._step()
-        self.fail("unbalanced parentheses")
+def _closing(text: str, tokens: list, i: int) -> int:
+    """Index of the ``)`` that closes the section whose body starts at token ``i``."""
+    depth = 0
+    for j in range(i, len(tokens)):
+        kind = tokens[j][0]
+        if kind == "lparen":
+            depth += 1
+        elif kind == "rparen":
+            if depth == 0:
+                return j
+            depth -= 1
+    raise _error(text, "unbalanced parentheses", len(text))
 
 
 def parse(text: str, *, check_arity: bool = True) -> Problem:
     """Parse a WST problem, or raise `ParseError` with a source position."""
-    sc = _Scanner(text)
-    variables: list = []
-    var_set: set = set()
+    tokens = _tokenize(text)
+
+    def token(i: int) -> tuple[str, str, int]:
+        if i >= len(tokens):
+            raise _error(text, "unbalanced parentheses", len(text))
+        return tokens[i]
+
+    variables: dict = {}  # ordered and without duplicates
     seen: set = set()
-    rule_tokens: list[_Token] = []
-    rules_end: Optional[_Token] = None
+    rule_tokens: list = []
+    rules_end = 0
     strategy: Optional[Strategy] = None
     comment: Optional[str] = None
     preserved: list[tuple[str, str]] = []
-    has_theory = False
 
-    while True:
-        sc.skip_ws()
-        if sc.at_eof():
-            break
-        tok = sc.next_token()
-        if tok.kind == "rparen":
-            raise ParseError("unbalanced parentheses", tok.line, tok.col)
-        if tok.kind != "lparen":
-            raise ParseError(f"expected '(', found {tok.text!r}", tok.line, tok.col)
-        sc.skip_ws()
-        if sc.at_eof():
-            sc.fail("unbalanced parentheses")
-        key = sc.next_token()
-        if key.kind in ("lparen", "rparen", "comma", "quote"):
-            raise ParseError("expected section key", key.line, key.col)
-        name = key.text
+    i = 0
+    while i < len(tokens):
+        kind, word, off = tokens[i]
+        if kind == "rparen":
+            raise _error(text, "unbalanced parentheses", off)
+        if kind != "lparen":
+            raise _error(text, f"expected '(', found {word!r}", off)
+        kind, name, off = token(i + 1)
+        if kind not in ("ident", "arrow"):
+            raise _error(text, "expected section key", off)
         if name in ("VAR", "RULES", "STRATEGY"):
             if name in seen:
-                raise ParseError(f"duplicate {name} section", key.line, key.col)
+                raise _error(text, f"duplicate {name} section", off)
             seen.add(name)
+        i += 2
         if name == "VAR":
             while True:
-                sc.skip_ws()
-                if sc.at_eof():
-                    sc.fail("unbalanced parentheses")
-                tok = sc.next_token()
-                if tok.kind == "rparen":
+                kind, word, off = token(i)
+                i += 1
+                if kind == "rparen":
                     break
-                if tok.kind != "ident":
-                    raise ParseError(
-                        f"expected variable name, found {tok.text!r}", tok.line, tok.col
-                    )
-                if tok.text not in var_set:
-                    var_set.add(tok.text)
-                    variables.append(tok.text)
-        elif name == "RULES":
-            depth = 0
-            while True:
-                sc.skip_ws()
-                if sc.at_eof():
-                    sc.fail("unbalanced parentheses")
-                tok = sc.next_token()
-                if tok.kind == "lparen":
-                    depth += 1
-                elif tok.kind == "rparen":
-                    if depth == 0:
-                        rules_end = tok
-                        break
-                    depth -= 1
-                rule_tokens.append(tok)
+                if kind != "ident":
+                    raise _error(text, f"expected variable name, found {word!r}", off)
+                variables[word] = None
         elif name == "STRATEGY":
-            sc.skip_ws()
-            if sc.at_eof():
-                sc.fail("unbalanced parentheses")
-            tok = sc.next_token()
-            if tok.kind != "ident" or tok.text not in _STRATEGY_NAMES:
-                raise ParseError(
-                    f"unknown STRATEGY keyword {tok.text!r}", tok.line, tok.col
-                )
-            strategy = _STRATEGY_NAMES[tok.text]
-            sc.skip_ws()
-            if sc.at_eof():
-                sc.fail("unbalanced parentheses")
-            tok = sc.next_token()
-            if tok.kind != "rparen":
-                raise ParseError(
-                    f"expected ')' after strategy, found {tok.text!r}", tok.line, tok.col
-                )
-        elif name == "COMMENT":
-            body = sc.capture_raw().strip()
-            comment = body if comment is None else f"{comment}\n{body}"
+            kind, word, off = token(i)
+            if kind != "ident" or word not in _STRATEGY_NAMES:
+                raise _error(text, f"unknown STRATEGY keyword {word!r}", off)
+            strategy = _STRATEGY_NAMES[word]
+            kind, word, off = token(i + 1)
+            if kind != "rparen":
+                raise _error(text, f"expected ')' after strategy, found {word!r}", off)
+            i += 2
         else:
-            raw = sc.capture_raw()
-            preserved.append((name, raw))
-            if name == "THEORY":
-                has_theory = True
+            j = _closing(text, tokens, i)
+            if name == "RULES":
+                rule_tokens, rules_end = tokens[i:j], tokens[j][2]
+            else:
+                raw = text[off + len(name) : tokens[j][2]]
+                if name == "COMMENT":
+                    body = raw.strip()
+                    comment = body if comment is None else f"{comment}\n{body}"
+                else:
+                    preserved.append((name, raw))
+            i = j + 1
 
-    strict, weak = _parse_rules(rule_tokens, rules_end, var_set, check_arity)
+    strict, weak = _parse_rules(text, rule_tokens, rules_end, variables.keys(), check_arity)
     return Problem(
         variables=tuple(variables),
         strict_rules=tuple(strict),
@@ -236,125 +177,111 @@ def parse(text: str, *, check_arity: bool = True) -> Problem:
         strategy=strategy,
         comment=comment,
         preserved_sections=tuple(preserved),
-        has_theory=has_theory,
+        has_theory=any(key == "THEORY" for key, _ in preserved),
     )
 
 
 def parse_term(text: str, variables: Iterable, *, check_arity: bool = True) -> Term:
     """Parse one complete term; identifiers in ``variables`` become variables."""
-    sc = _Scanner(text)
-    tokens: list[_Token] = []
-    while True:
-        sc.skip_ws()
-        if sc.at_eof():
-            break
-        tokens.append(sc.next_token())
+    tokens = _tokenize(text)
     if not tokens:
-        raise ParseError("expected a term", sc.line, sc.col)
-    arity: dict = {}
-    t, i = _parse_term_tokens(tokens, 0, set(variables), arity if check_arity else None, None)
+        raise _error(text, "expected a term", len(text))
+    t, i = _parse_term_tokens(
+        text, tokens, 0, set(variables), {} if check_arity else None, tokens[-1][2]
+    )
     if i != len(tokens):
-        tok = tokens[i]
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        _, word, off = tokens[i]
+        raise _error(text, f"trailing input {word!r}", off)
     return t
 
 
 def _parse_rules(
-    tokens: list[_Token],
-    end: Optional[_Token],
-    variables: set,
+    text: str,
+    tokens: list,
+    end: int,
+    variables: AbstractSet,
     check_arity: bool,
 ) -> tuple[list[Rule], list[Rule]]:
+    """Rules juxtaposed in ``tokens``; ``end`` is the offset of the closing ``)``."""
     arity: Optional[dict] = {} if check_arity else None
     strict: list[Rule] = []
     weak: list[Rule] = []
     i = 0
     while i < len(tokens):
-        lhs, i = _parse_term_tokens(tokens, i, variables, arity, end)
+        lhs, i = _parse_term_tokens(text, tokens, i, variables, arity, end)
         if i >= len(tokens):
-            at = end or tokens[-1]
-            raise ParseError("missing arrow", at.line, at.col)
-        arrow = tokens[i]
-        if arrow.kind != "arrow":
-            raise ParseError(
-                f"expected '->' or '->=', found {arrow.text!r}", arrow.line, arrow.col
-            )
+            raise _error(text, "missing arrow", end)
+        kind, arrow, off = tokens[i]
+        if kind != "arrow":
+            raise _error(text, f"expected '->' or '->=', found {arrow!r}", off)
         i += 1
-        rhs, i = _parse_term_tokens(tokens, i, variables, arity, end)
-        (weak if arrow.text == "->=" else strict).append(Rule(lhs, rhs))
+        rhs, i = _parse_term_tokens(text, tokens, i, variables, arity, end)
+        (weak if arrow == "->=" else strict).append(Rule(lhs, rhs))
     return strict, weak
 
 
 def _parse_term_tokens(
-    tokens: list[_Token],
+    text: str,
+    tokens: list,
     i: int,
-    variables: set,
+    variables: AbstractSet,
     arity: Optional[dict],
-    end: Optional[_Token],
+    end: int,
 ) -> tuple[Term, int]:
-    def out_of_input(open_frames: bool) -> ParseError:
-        at = end or tokens[-1]
-        message = "unbalanced parentheses" if open_frames else "unexpected end of input"
-        return ParseError(message, at.line, at.col)
+    """The term starting at token ``i`` and the index after it; running out of
+    tokens is an error at offset ``end``."""
 
-    def check(tok: _Token, n: int) -> None:
+    def check(word: str, off: int, n: int) -> None:
         if arity is None:
             return
-        prev = arity.setdefault(tok.text, n)
+        prev = arity.setdefault(word, n)
         if prev != n:
-            raise ParseError(
-                f"inconsistent arity for {tok.text!r}: {n} here, {prev} before",
-                tok.line,
-                tok.col,
-            )
+            raise _error(text, f"inconsistent arity for {word!r}: {n} here, {prev} before", off)
 
-    stack: list[tuple[_Token, list[Term]]] = []
+    # Applications whose arguments are still being read: (symbol, offset, arguments).
+    stack: list[tuple[str, int, list[Term]]] = []
     while True:
         if i >= len(tokens):
-            raise out_of_input(bool(stack))
-        tok = tokens[i]
-        if tok.kind != "ident":
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-        following = tokens[i + 1] if i + 1 < len(tokens) else None
+            message = "unbalanced parentheses" if stack else "unexpected end of input"
+            raise _error(text, message, end)
+        kind, word, off = tokens[i]
+        if kind != "ident":
+            raise _error(text, f"expected a term, found {word!r}", off)
         t: Term
-        if following is not None and following.kind == "lparen":
-            if tok.text in variables:
-                raise ParseError("variable applied to arguments", tok.line, tok.col)
-            after = tokens[i + 2] if i + 2 < len(tokens) else None
-            if after is not None and after.kind == "rparen":
-                check(tok, 0)
-                t = Fun(tok.text)
+        if i + 1 < len(tokens) and tokens[i + 1][0] == "lparen":
+            if word in variables:
+                raise _error(text, "variable applied to arguments", off)
+            if i + 2 < len(tokens) and tokens[i + 2][0] == "rparen":
+                check(word, off, 0)
+                t = Fun(word)
                 i += 3
             else:
-                stack.append((tok, []))
+                stack.append((word, off, []))
                 i += 2
                 continue
+        elif word in variables:
+            t = Var(word)
+            i += 1
         else:
-            if tok.text in variables:
-                t = Var(tok.text)
-            else:
-                check(tok, 0)
-                t = Fun(tok.text)
+            check(word, off, 0)
+            t = Fun(word)
             i += 1
         while True:
             if not stack:
                 return t, i
-            stack[-1][1].append(t)
+            stack[-1][2].append(t)
             if i >= len(tokens):
-                raise out_of_input(True)
-            sep = tokens[i]
-            if sep.kind == "comma":
+                raise _error(text, "unbalanced parentheses", end)
+            kind, sep, off = tokens[i]
+            if kind == "comma":
                 i += 1
                 break
-            if sep.kind == "rparen":
-                sym, args = stack.pop()
-                check(sym, len(args))
-                t = Fun(sym.text, tuple(args))
-                i += 1
-                continue
-            raise ParseError(
-                f"expected ',' or ')', found {sep.text!r}", sep.line, sep.col
-            )
+            if kind != "rparen":
+                raise _error(text, f"expected ',' or ')', found {sep!r}", off)
+            sym, sym_off, args = stack.pop()
+            check(sym, sym_off, len(args))
+            t = Fun(sym, tuple(args))
+            i += 1
 
 
 def render(p: Problem) -> str:

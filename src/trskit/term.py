@@ -5,8 +5,8 @@ opaque: anything hashable with equality works (strings in practice,
 tagged pairs when rules are renamed apart).  A constant is a ``Fun`` with
 no arguments; there is no separate constructor for it.
 
-Every traversal here, ``==`` and ``hash`` included, keeps its own stack,
-so terms of any depth work at Python's default recursion limit.
+Every traversal here, ``==``, ``hash`` and ``repr`` included, keeps its own
+stack, so terms of any depth work at Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -74,6 +74,26 @@ class Fun:
                 nodes.append((t.symbol, len(t.args)))
                 stack.extend(t.args)
         return hash(tuple(nodes))
+
+    def __repr__(self) -> str:
+        """The dataclass format, e.g. ``Fun(symbol='f', args=(Var(name='x'),))``."""
+        out: list[str] = []
+        # Terms still to write, and the punctuation between them as strings.
+        stack: list = [self]
+        while stack:
+            s = stack.pop()
+            if isinstance(s, str):
+                out.append(s)
+            elif isinstance(s, Var):
+                out.append(repr(s))
+            else:
+                out.append(f"Fun(symbol={s.symbol!r}, args=(")
+                stack.append(",))" if len(s.args) == 1 else "))")
+                for i in range(len(s.args) - 1, -1, -1):
+                    stack.append(s.args[i])
+                    if i:
+                        stack.append(", ")
+        return "".join(out)
 
     def __str__(self) -> str:
         return render(self)

@@ -36,6 +36,16 @@ def test_render():
     assert str(CFun("g", (), HOLE, ())) == "g([])"
 
 
+def test_repr_is_the_dataclass_format():
+    c = context.of_term(Fun("f", (a, Fun("g", (x,)), b)), (1, 0))
+    assert repr(c) == (
+        "CFun(symbol='f', before=(Fun(symbol='a', args=()),), "
+        "inner=CFun(symbol='g', before=(), inner=Hole(), after=()), "
+        "after=(Fun(symbol='b', args=()),))"
+    )
+    assert repr(HOLE) == "Hole()"
+
+
 @given(term_strategy(), st.data())
 def test_decomposition_laws(t, data):
     p = data.draw(st.sampled_from(term.positions(t)))

@@ -109,6 +109,11 @@ def term_render_str_and_json(n):
 
 
 @case(DEEP)
+def term_repr(n):
+    assert repr(shared(n, a)) == "Fun(symbol='s', args=(" * n + "Fun(symbol='a', args=())" + ",))" * n
+
+
+@case(DEEP)
 def term_eq_and_hash(n):
     t, u = shared(n), chain(n)
     assert t == u and hash(t) == hash(u)
@@ -159,6 +164,18 @@ def context_round_trip(n):
     d = context.of_term(shared(n, a), (0,) * n)
     assert c == d and hash(c) == hash(d)
     assert c != context.of_term(Fun("t", (shared(n - 1),)), (0,) * n)
+
+
+@case(DEEP)
+def context_repr(n):
+    c = context.of_term(Fun("f", (a, shared(n - 1))), (1,) + (0,) * (n - 1))
+    layer = "CFun(symbol='s', before=(), inner="
+    assert repr(c) == (
+        "CFun(symbol='f', before=(Fun(symbol='a', args=()),), inner="
+        + layer * (n - 1)
+        + "Hole()"
+        + ", after=())" * n
+    )
 
 
 # rule -----------------------------------------------------------------------

@@ -167,23 +167,22 @@ def test_exotic_identifiers():
 
 
 def test_tokenizer_law():
-    # tokens never contain whitespace or the special characters, and the
-    # arrow tokens are exactly '->' and '->='
+    # tokens never contain whitespace or the special characters, the arrow
+    # tokens are exactly '->' and '->=', the tokens spell the input without
+    # its whitespace, and each offset points at its token's text
     rng = random.Random(5)
     alphabet = "ab-(>=), \t\n\"x"
     for _ in range(300):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
-        scanner = problem._Scanner(text)
-        while True:
-            scanner.skip_ws()
-            if scanner.at_eof():
-                break
-            tok = scanner.next_token()
-            assert tok.text
-            assert not any(ch.isspace() for ch in tok.text)
-            if len(tok.text) > 1:
-                assert not any(ch in '(),"' for ch in tok.text)
-            assert (tok.kind == "arrow") == (tok.text in ("->", "->="))
+        tokens = problem._tokenize(text)
+        for kind, tok, off in tokens:
+            assert tok
+            assert not any(ch.isspace() for ch in tok)
+            if len(tok) > 1:
+                assert not any(ch in '(),"' for ch in tok)
+            assert (kind == "arrow") == (tok in ("->", "->="))
+            assert text[off : off + len(tok)] == tok
+        assert "".join(tok for _, tok, _ in tokens) == "".join(text.split())
 
 
 def test_fuzz_totality_smoke():
@@ -195,3 +194,92 @@ def test_fuzz_totality_smoke():
             problem.parse(text)
         except ParseError:
             pass
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        # end of input inside each kind of section, and right after '('
+        ("(VAR x y", "unbalanced parentheses", 1, 9),
+        ("(VAR x)\n(RULES\nf(x) -> x\n", "unbalanced parentheses", 4, 1),
+        ("(STRATEGY", "unbalanced parentheses", 1, 10),
+        ("(STRATEGY INNERMOST ", "unbalanced parentheses", 1, 21),
+        ("(COMMENT (nested) but\nnever closed", "unbalanced parentheses", 2, 13),
+        ("(PROOF (a (b)", "unbalanced parentheses", 1, 14),
+        ("(", "unbalanced parentheses", 1, 2),
+        ("(VAR x)\n(  \n ", "unbalanced parentheses", 3, 2),
+        # '\r' before '\n' is a column of its own; only '\n' ends a line
+        ("(VAR x)\r\n(RULES x(a) -> a)", "variable applied to arguments", 2, 8),
+        ("(VAR x)\r\n\r\nstray", "expected '(', found 'stray'", 3, 1),
+        ("(VAR x)\r(RULES x(a) -> a)", "variable applied to arguments", 1, 16),
+        # a tab is one column
+        ("(VAR\tx)\t(RULES\tx(a) -> a)", "variable applied to arguments", 1, 16),
+        ("\t\t)", "unbalanced parentheses", 1, 3),
+        # errors after a multi-line COMMENT
+        ("(COMMENT one\ntwo (three)\nfour)\n  (STRATEGY FAST)", "unknown STRATEGY keyword 'FAST'", 4, 13),
+        ("(COMMENT a\nb)(RULES f(x) -> x f(x,x) -> x)", "inconsistent arity for 'f': 2 here, 1 before", 2, 20),
+        # positions of the errors found while reading the rules
+        ("(RULES\nf(x) -> )", "unexpected end of input", 2, 9),
+        ("(RULES\nf(x)\n)", "missing arrow", 3, 1),
+        ("(RULES f(a -> a)", "unbalanced parentheses", 1, 17),
+        ("(RULES a b)", "expected '->' or '->=', found 'b'", 1, 10),
+        ("(RULES f(a b) -> a)", "expected ',' or ')', found 'b'", 1, 12),
+        ("(STRATEGY FULL x)", "expected ')' after strategy, found 'x'", 1, 16),
+        ("(VAR x ,)", "expected variable name, found ','", 1, 8),
+        ("( ,)", "expected section key", 1, 3),
+    ],
+)
+def test_parse_error_positions(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        problem.parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+    assert str(err.value) == f"{line}:{col}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("f(x) y", "trailing input 'y'", 1, 6),
+        ("f(x)\n  g", "trailing input 'g'", 2, 3),
+        ("f(x)\r\n)", "trailing input ')'", 2, 1),
+        ("", "expected a term", 1, 1),
+        ("  \t", "expected a term", 1, 4),
+        ("\n \n", "expected a term", 3, 1),
+        # running out of input points at the last token
+        ("f(x,\n  a", "unbalanced parentheses", 2, 3),
+        ("f(", "unbalanced parentheses", 1, 2),
+    ],
+)
+def test_parse_term_error_positions(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        problem.parse_term(text, {"x"})
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+def test_whitespace_is_what_isspace_accepts():
+    # in the latin-1 text, a character separates identifiers exactly when
+    # str.isspace() accepts it
+    for code in range(256):
+        ch = chr(code)
+        if ch in '(),"':
+            continue
+        p = problem.parse(f"(VAR{ch}x)")
+        if ch.isspace():
+            assert p.variables == ("x",), repr(ch)
+            assert problem.parse_term(f"f(a,{ch}b){ch}", set()) == Fun("f", (a, b))
+        else:
+            assert p.preserved_sections == ((f"VAR{ch}x", ""),), repr(ch)
+            assert problem.parse_term(f"a{ch}b", set()) == Fun(f"a{ch}b")
+    assert {chr(c) for c in range(256) if chr(c).isspace()} >= set("\x1c\x1d\x1e\x1f\x85\xa0")
+
+
+def test_every_prefix_and_suffix_of_the_corpus_parses_or_fails_cleanly():
+    for path in sorted(CORPUS.glob("*.trs")):
+        source = path.read_text(encoding="latin-1")
+        for k in range(len(source) + 1):
+            for text in (source[:k], source[k:]):
+                for check_arity in (True, False):
+                    try:
+                        problem.parse(text, check_arity=check_arity)
+                    except ParseError:
+                        pass

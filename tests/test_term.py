@@ -186,6 +186,21 @@ def test_render():
     assert str(f(x, a)) == "f(x,a)"
 
 
+def test_repr_is_the_dataclass_format():
+    from trskit.rule import TaggedVar
+
+    assert repr(Fun("f", (x, a))) == "Fun(symbol='f', args=(Var(name='x'), Fun(symbol='a', args=())))"
+    assert repr(Fun("f", (x,))) == "Fun(symbol='f', args=(Var(name='x'),))"
+    assert repr(a) == "Fun(symbol='a', args=())"
+    nested = Fun("g", (Fun("h", (x, Fun("k", (a,)), Var(TaggedVar("L", "y")))),))
+    assert repr(nested) == (
+        "Fun(symbol='g', args=(Fun(symbol='h', args=(Var(name='x'), "
+        "Fun(symbol='k', args=(Fun(symbol='a', args=()),)), "
+        "Var(name=TaggedVar(side='L', base='y')))),))"
+    )
+    assert repr(Fun(3, (Var(("p", 1)),))) == "Fun(symbol=3, args=(Var(name=('p', 1)),))"
+
+
 @given(terms)
 def test_json_round_trip(t):
     assert term.from_json(term.to_json(t)) == t
