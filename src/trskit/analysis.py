@@ -121,7 +121,7 @@ def _rebuild(hole: Term, stack: list) -> Term:
     for pattern, sigma, done in reversed(stack):
         rest = pattern.args[len(done) + 1 :]
         if sigma is not None:
-            rest = tuple(substitution.apply_generalized(sigma, a) for a in rest)
+            rest = tuple(substitution.apply(sigma, a) for a in rest)
         hole = Fun(pattern.symbol, (*done, hole, *rest))
     return hole
 

@@ -33,6 +33,8 @@ _SCOPE_FLAGS = {"all": Scope.ALL, "inner": Scope.INNER, "outer": Scope.OUTER}
 
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
+    if getattr(args, "max_steps", 0) < 0:
+        return _fail(args, f"--max-steps must be at least 0, not {args.max_steps}")
     try:
         return args.func(args)
     except (problem.ParseError, InvalidRuleError, OSError) as e:
@@ -182,10 +184,17 @@ def cmd_cps(args) -> int:
     return 0
 
 
+def _subject(args, p: problem.Problem) -> term.Term:
+    """The command's term, checked against the arities of ``p`` unless
+    ``--no-arity-check`` is given."""
+    arity = None if args.no_arity_check else problem.arities(p)
+    return problem.parse_term(args.term, p.variables, arity=arity)
+
+
 def cmd_rewrite(args) -> int:
     p = _load(args)
     _warn_weak(p)
-    subject = problem.parse_term(args.term, p.variables, check_arity=not args.no_arity_check)
+    subject = _subject(args, p)
     reducts = rewriting.step(p.strict_rules, subject, _STRATEGY_FLAGS[args.strategy])
     if args.json:
         _emit_json({"reducts": [rewriting.to_json(r) for r in reducts], "count": len(reducts)})
@@ -199,7 +208,7 @@ def cmd_rewrite(args) -> int:
 def cmd_normalize(args) -> int:
     p = _load(args)
     _warn_weak(p)
-    subject = problem.parse_term(args.term, p.variables, check_arity=not args.no_arity_check)
+    subject = _subject(args, p)
     result = analysis.nf(p.strict_rules, subject, args.max_steps)
     status = "NORMAL FORM" if result.reached_normal_form else "STEP LIMIT"
     if args.json:

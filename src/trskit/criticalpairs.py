@@ -53,23 +53,27 @@ def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[Crit
     out: list[CriticalPair] = []
     for j, outer in enumerate(rules):
         rho2 = renamed[j][1]
-        for p in _term.positions(rho2.lhs):
-            overlapped = _term.subterm_at(rho2.lhs, p)
+        # A preorder walk of the left-hand side, with `position.of_path` paths.
+        stack: list = [(rho2.lhs, None)]
+        while stack:
+            overlapped, path = stack.pop()
             if isinstance(overlapped, Var):
                 continue
-            if scope is Scope.INNER and p == ():
-                continue
-            if scope is Scope.OUTER and p != ():
+            if scope is not Scope.OUTER:
+                args = overlapped.args
+                stack.extend((args[k], (path, k)) for k in range(len(args) - 1, -1, -1))
+            if scope is Scope.INNER and path is None:
                 continue
             # Only rules whose left-hand side has the overlapped root symbol
             # can unify with it.
             for i, inner in by_root.get(overlapped.symbol, ()):
-                if p == () and i == j:
+                if path is None and i == j:
                     continue
                 rho1 = renamed[i][0]
                 sigma = substitution.unify(rho1.lhs, overlapped)
                 if sigma is None:
                     continue
+                p = _position.of_path(path)
                 top = substitution.apply(sigma, rho2.lhs)
                 left = _term.replace_at(top, p, substitution.apply(sigma, rho1.rhs))
                 right = substitution.apply(sigma, rho2.rhs)

@@ -40,6 +40,16 @@ def concat(p: Iterable[int], q: Iterable[int]) -> Position:
     return tuple(p) + tuple(q)
 
 
+def of_path(path) -> Position:
+    """The position a parent-link path leads to: ``None`` is the root, and
+    ``(parent path, argument index)`` the argument below its parent."""
+    p = []
+    while path is not None:
+        path, k = path
+        p.append(k)
+    return tuple(reversed(p))
+
+
 def render(p: Iterable[int]) -> str:
     """Render as ``[0,1]``; the root renders as ``[]``."""
     return "[" + ",".join(str(i) for i in p) + "]"

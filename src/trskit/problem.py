@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional
+from types import MappingProxyType
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from . import rule as _rule, term as _term
 from .rewriting import Strategy
@@ -181,18 +182,37 @@ def parse(text: str, *, check_arity: bool = True) -> Problem:
     )
 
 
-def parse_term(text: str, variables: Iterable, *, check_arity: bool = True) -> Term:
-    """Parse one complete term; identifiers in ``variables`` become variables."""
+def parse_term(
+    text: str, variables: Iterable, *, arity: Optional[Mapping] = MappingProxyType({})
+) -> Term:
+    """Parse one complete term; identifiers in ``variables`` become variables.
+
+    Function symbols must keep one arity throughout the term, and the arity
+    that ``arity`` gives them, if any (see `arities`); ``arity=None`` checks
+    nothing.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise _error(text, "expected a term", len(text))
-    t, i = _parse_term_tokens(
-        text, tokens, 0, set(variables), {} if check_arity else None, tokens[-1][2]
-    )
+    arity = None if arity is None else dict(arity)
+    t, i = _parse_term_tokens(text, tokens, 0, set(variables), arity, tokens[-1][2])
     if i != len(tokens):
         _, word, off = tokens[i]
         raise _error(text, f"trailing input {word!r}", off)
     return t
+
+
+def arities(p: Problem) -> dict:
+    """The arity of each function symbol in the rules of ``p``; a symbol used
+    with several arities (possible only without the arity check) gets one."""
+    out: dict = {}
+    stack: list = [t for r in p.strict_rules + p.weak_rules for t in (r.lhs, r.rhs)]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Fun):
+            out.setdefault(t.symbol, len(t.args))
+            stack.extend(t.args)
+    return out
 
 
 def _parse_rules(

@@ -92,19 +92,11 @@ def step(rules: Sequence[Rule], subject: Term, strategy: Strategy = Strategy.FUL
     for path, _, matches, innermost in redexes:
         if strategy is Strategy.INNERMOST and not innermost:
             continue
-        at = _position_of(path)
+        at = _position.of_path(path)
         for i, r, sigma in matches:
-            contractum = substitution.apply_generalized(sigma, r.rhs)
+            contractum = substitution.apply(sigma, r.rhs)
             reducts.append(Reduct(_term.replace_at(subject, at, contractum), at, r, i, sigma))
     return reducts
-
-
-def _position_of(path) -> Position:
-    p = []
-    while path is not None:
-        path, k = path
-        p.append(k)
-    return tuple(reversed(p))
 
 
 def is_normal_form(rules: Sequence[Rule], t: Term) -> bool:

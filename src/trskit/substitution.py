@@ -106,13 +106,19 @@ def unify(s: Term, t: Term) -> Optional[Substitution]:
     stack = [(s, t)]
     while stack:
         a, b = stack.pop()
-        a, b = apply(sigma, a), apply(sigma, b)
-        if a == b:
-            continue
-        if isinstance(b, Var):
-            a, b = b, a
+        # Stored images are fully applied, so one lookup resolves a variable,
+        # and a term is substituted only when it becomes the image of a binding.
         if isinstance(a, Var):
-            if _occurs(a.name, b):
+            a = sigma.get(a.name, a)
+        if isinstance(b, Var):
+            b = sigma.get(b.name, b)
+            if isinstance(b, Var):
+                a, b = b, a
+        if isinstance(a, Var):
+            if a == b:
+                continue
+            b = apply(sigma, b)
+            if a.name in _term.vars(b):
                 return None
             binding = {a.name: b}
             sigma = {v: apply(binding, u) for v, u in sigma.items()}
@@ -122,18 +128,6 @@ def unify(s: Term, t: Term) -> Optional[Substitution]:
         else:
             return None
     return sigma
-
-
-def _occurs(name: Hashable, t: Term) -> bool:
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Var):
-            if s.name == name:
-                return True
-        else:
-            stack.extend(s.args)
-    return False
 
 
 def to_generalized(sigma: Mapping, variables: Iterable[Hashable]) -> GeneralizedSubstitution:

@@ -2,7 +2,7 @@ import io
 import json
 from pathlib import Path
 
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trskit import cli
 
@@ -208,6 +208,44 @@ def test_no_arity_check_flag(tmp_path, capsys):
     assert run(capsys, "parse", "--no-arity-check", path)[0] == 0
 
 
+def test_subject_is_checked_against_the_problem_arities(capsys):
+    peano = str(CORPUS / "peano_plus.trs")
+    cases = [
+        (["normalize", peano, "plus(s(0))"], "1:1: inconsistent arity for 'plus': 1 here, 2 before"),
+        (["rewrite", peano, "plus(0,s(0),0)"], "1:1: inconsistent arity for 'plus': 3 here, 2 before"),
+        (["rewrite", peano, "s(0,plus(0,0))"], "1:1: inconsistent arity for 's': 2 here, 1 before"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"trskit: error: {message}"
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2
+        assert json.loads(out) == {"status": "error", "message": message}
+    # A symbol the problem does not use may take any one arity.
+    code, out, _ = run(capsys, "normalize", peano, "f(plus(0,0),g)")
+    assert (code, out.splitlines()) == (0, ["f(0,g)", "steps: 1", "NORMAL FORM"])
+    code, out, _ = run(capsys, "normalize", "--no-arity-check", peano, "plus(s(0))")
+    assert (code, out.splitlines()) == (0, ["plus(s(0))", "steps: 0", "NORMAL FORM"])
+    code, out, _ = run(capsys, "rewrite", "--no-arity-check", peano, "plus(0,s(0),0)")
+    assert (code, out) == (0, "reducts: 0\n")
+
+
+def test_negative_step_budget_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, "(RULES a -> f(a) a -> b)")
+    for argv in (["normalize", path, "a", "--max-steps", "-5"], ["check-lc", path, "--max-steps", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"trskit: error: --max-steps must be at least 0, not {argv[-1]}\n"
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2
+        assert json.loads(out)["status"] == "error"
+    _, out, _ = run(capsys, "normalize", path, "a", "--max-steps", "0")
+    assert out.splitlines() == ["a", "steps: 0", "STEP LIMIT"]
+    _, out, _ = run(capsys, "check-lc", path, "--max-steps", "0")
+    assert out.splitlines()[0] == "MAYBE"
+
+
 def test_invalid_rule_is_an_error_for_cps(tmp_path, capsys):
     path = write(tmp_path, "(VAR x y)(RULES f(x) -> y)")
     code, _, err = run(capsys, "cps", path)
@@ -267,3 +305,70 @@ def test_json_writer_matches_json_dumps(obj):
     buf = io.StringIO()
     cli._write_json(obj, buf.write)
     assert buf.getvalue() == json.dumps(obj, indent=2)
+
+
+CORPUS_TEXTS = {path.name: path.read_text("latin-1") for path in sorted(CORPUS.glob("*.trs"))}
+PIECES = ["(", ")", ",", " ", "\n", "->", "->=", "x", "y", "0", "s", "plus", "f", "(VAR x)", "(RULES a -> b)"]
+TERM_PIECES = ["plus", "ack", "s", "0", "f", "a", "x", "y", "(", ")", ",", " "]
+
+
+@st.composite
+def problem_texts(draw):
+    """A corpus file as it is, cut short, or with a few pieces cut out or put in."""
+    text = CORPUS_TEXTS[draw(st.sampled_from(sorted(CORPUS_TEXTS)))]
+    how = draw(st.sampled_from(["as is", "truncated", "mutated"]))
+    if how == "truncated":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif how == "mutated":
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(text)))
+            j = draw(st.integers(i, min(len(text), i + 4)))
+            text = text[:i] + draw(st.sampled_from(["", *PIECES])) + text[j:]
+    return how, text
+
+
+@st.composite
+def invocations(draw):
+    cmd = draw(st.sampled_from(["parse", "props", "cps", "rewrite", "normalize", "check-lc"]))
+    argv = [cmd, "FILE"]
+    if cmd == "cps" and draw(st.booleans()):
+        argv += ["--scope", draw(st.sampled_from(["all", "inner", "outer"]))]
+    if cmd in ("rewrite", "normalize"):
+        argv.append("".join(draw(st.lists(st.sampled_from(TERM_PIECES), max_size=12))))
+    if cmd == "rewrite" and draw(st.booleans()):
+        argv += ["--strategy", draw(st.sampled_from(["full", "root", "outer", "inner"]))]
+    budget = None
+    if cmd in ("normalize", "check-lc") and draw(st.booleans()):
+        budget = draw(st.integers(-50, 200))
+        argv += ["--max-steps", str(budget)]
+    for flag in ("--json", "--no-arity-check"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv, budget
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(problem_texts(), invocations())
+def test_cli_contract(tmp_path, capsys, problem_text, invocation):
+    how, text = problem_text
+    argv, budget = invocation
+    path = tmp_path / "problem.trs"
+    path.write_text(text, encoding="latin-1")
+    argv[1] = str(path)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    errors = [line for line in err.splitlines() if line.startswith("trskit: error: ")]
+    assert len(errors) <= 1
+    if "--json" in argv:
+        doc = json.loads(out)
+        assert (doc.get("status") == "error") == bool(errors)
+    else:
+        # A failed run prints no result at all; every result has a line.
+        assert (out == "") == bool(errors)
+    if errors:
+        assert code == 2
+    if budget is not None and budget < 0:
+        assert errors
+    if how == "as is" and argv[0] in ("parse", "props"):
+        assert not errors

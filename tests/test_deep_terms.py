@@ -1,8 +1,8 @@
 """Every public traversal works on deep terms at the default recursion limit.
 
 Linear operations run on unary chains ``s(s(...(leaf)))`` of depth 100 000.
-Those whose output or algorithm is quadratic in the depth (``positions``,
-``step`` under FULL, ``critical_pairs`` and ``unify``) run at depth 2 000.
+Only ``positions`` and ``step`` under FULL run at depth 2 000, because their
+output is quadratic in the depth.
 A second test reads the source and fails on any function that calls
 itself by name, so that recursion does not come back.
 """
@@ -146,7 +146,7 @@ def substitution_render_and_json(n):
     assert term.from_json(substitution.to_json(sigma)["x"]) == shared(n, a)
 
 
-@case(QUADRATIC)
+@case(DEEP)
 def substitution_unify(n):
     assert substitution.unify(shared(n), shared(n, a)) == {"x": a}
     assert substitution.unify(x, shared(n)) is None
@@ -235,7 +235,7 @@ def rewriting_normal_form_and_properties(n):
 # criticalpairs --------------------------------------------------------------
 
 
-@case(QUADRATIC)
+@case(DEEP)
 def criticalpairs_critical_pairs(n):
     # The inner rule unifies at the bottom only.
     pairs = criticalpairs.critical_pairs([Rule(Fun("g", (shared(n, a),)), a), Rule(Fun("s", (a,)), b)])

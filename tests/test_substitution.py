@@ -130,6 +130,59 @@ def test_match_implies_unify_after_renaming(pattern, subject):
     assert substitution.unify(pattern, renamed) is not None
 
 
+def reference_unify(s, t):
+    """Unification that applies ``sigma`` to both sides of every pair it pops."""
+    sigma = {}
+    stack = [(s, t)]
+    while stack:
+        a, b = stack.pop()
+        a, b = substitution.apply(sigma, a), substitution.apply(sigma, b)
+        if a == b:
+            continue
+        if isinstance(b, Var):
+            a, b = b, a
+        if isinstance(a, Var):
+            if _occurs(a.name, b):
+                return None
+            binding = {a.name: b}
+            sigma = {v: substitution.apply(binding, u) for v, u in sigma.items()}
+            sigma[a.name] = b
+        elif a.symbol == b.symbol and len(a.args) == len(b.args):
+            stack.extend(zip(a.args, b.args))
+        else:
+            return None
+    return sigma
+
+
+def _occurs(name, t):
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Var):
+            if s.name == name:
+                return True
+        else:
+            stack.extend(s.args)
+    return False
+
+
+def assert_replays_reference(s, t):
+    """The same bindings in the same order as the reference, or ``None`` for both."""
+    got, want = substitution.unify(s, t), reference_unify(s, t)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and list(got.items()) == list(want.items())
+
+
+@given(terms, terms, subst_strategy())
+def test_unify_replays_the_reference(s, t, tau):
+    assert_replays_reference(s, t)
+    # Instance pairs, in either orientation, mostly unify.
+    assert_replays_reference(s, substitution.apply(tau, s))
+    assert_replays_reference(substitution.apply(tau, s), s)
+
+
 def test_unify_against_enumerated_unifiers():
     # depth <= 1 pairs over {f, g, a} with two variables: check most-generality
     pool = enumerate_terms(1, (("f", 2), ("g", 1), ("a", 0)), ("x", "y"))
@@ -139,6 +192,7 @@ def test_unify_against_enumerated_unifiers():
         for u, v in itertools.product(enumerate_terms(1, (("g", 1), ("a", 0)), ()), repeat=2)
     ]
     for s, t in pairs:
+        assert_replays_reference(s, t)
         sigma = substitution.unify(s, t)
         unifiers = [
             tau
