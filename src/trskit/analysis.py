@@ -10,10 +10,11 @@ building the other reducts.  The walk keeps its own stack, so the depth of
 a term costs no Python recursion.  Steps count against a step budget, so
 results are reproducible and termination is never assumed.
 
-`check_local_confluence` normalizes both sides of every critical pair.
-Two distinct normal forms reachable from one peak refute confluence
-outright; pairs whose sides hit the step budget stay unresolved, and make
-the verdict Unknown unless some other pair already yields a witness.
+`check_local_confluence` normalizes both sides of each critical pair as
+the enumeration yields it.  Two distinct normal forms reachable from one
+peak refute confluence outright and end the enumeration; pairs whose sides
+hit the step budget stay unresolved, and make the verdict Unknown unless a
+later pair yields a witness.
 A terminating system that is locally confluent is confluent, but
 termination itself is not checked here.
 """
@@ -127,9 +128,16 @@ def _rebuild(hole: Term, stack: list) -> Term:
 
 
 def check_local_confluence(rules: Sequence[Rule], max_steps: int) -> ConfluenceVerdict:
-    """Join every critical pair by normalization, within ``max_steps`` per side."""
+    """Join the critical pairs by normalization, within ``max_steps`` per side.
+
+    Pairs are joined in the order of `criticalpairs.critical_pairs` with
+    `Scope.ALL` (``cps --scope all``), each as soon as it is built.  The
+    first pair whose sides reach distinct normal forms ends the check and is
+    the witness of the NO; pairs after it are never built.
+    """
+    _rule.check_valid(rules)
     unresolved = 0
-    for cp in _cp.critical_pairs(rules, _cp.Scope.ALL):
+    for cp in _cp._pairs(rules, _cp.Scope.ALL):
         left = nf(rules, cp.left, max_steps)
         right = nf(rules, cp.right, max_steps)
         if left.reached_normal_form and right.reached_normal_form:

@@ -8,9 +8,10 @@ the two rules are renamed apart.  The root overlap of a rule with itself
 overlap.  Mirror pairs from swapping the two rules at the root are kept,
 as their annotations differ.
 
-The peak and both reducts live in the tagged namespace produced by
-`rule.rename_apart`; rendering and JSON output rename variables to
-``x1, x2, ...`` by first occurrence in preorder over (top, left, right).
+The peak and both reducts live in the tagged namespace of `rule.tag`,
+which `rule.rename_apart` also uses; rendering and JSON output rename
+variables to ``x1, x2, ...`` by first occurrence in preorder over (top,
+left, right).
 """
 
 from __future__ import annotations
@@ -46,13 +47,18 @@ class CriticalPair:
 def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[CriticalPair]:
     """All critical pairs of ``rules``, in order of (outer rule, position, inner rule)."""
     _rule.check_valid(rules)
-    # Rule i's variant on each side; TaggedVar compares by value, so one
-    # variant per rule and side serves every overlap.
-    renamed = [_rule.rename_apart(r, r) for r in rules]
+    return list(_pairs(rules, scope))
+
+
+def _pairs(rules: Sequence[Rule], scope: Scope):
+    """The critical pairs of the valid ``rules`` one at a time, in the order
+    of `critical_pairs`, so that a caller can stop at any of them."""
     by_root = _rule.index_by_root(rules)
-    out: list[CriticalPair] = []
+    # Rule i's variant on the left side, made when it is first tried;
+    # TaggedVar compares by value, so one variant serves every overlap.
+    left_variants: dict = {}
     for j, outer in enumerate(rules):
-        rho2 = renamed[j][1]
+        rho2 = _rule.tag(outer, "R")
         # A preorder walk of the left-hand side, with `position.of_path` paths.
         stack: list = [(rho2.lhs, None)]
         while stack:
@@ -69,7 +75,9 @@ def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[Crit
             for i, inner in by_root.get(overlapped.symbol, ()):
                 if path is None and i == j:
                     continue
-                rho1 = renamed[i][0]
+                rho1 = left_variants.get(i)
+                if rho1 is None:
+                    rho1 = left_variants[i] = _rule.tag(inner, "L")
                 sigma = substitution.unify(rho1.lhs, overlapped)
                 if sigma is None:
                     continue
@@ -77,8 +85,7 @@ def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[Crit
                 top = substitution.apply(sigma, rho2.lhs)
                 left = _term.replace_at(top, p, substitution.apply(sigma, rho1.rhs))
                 right = substitution.apply(sigma, rho2.rhs)
-                out.append(CriticalPair(top, left, right, inner, outer, p, i, j))
-    return out
+                yield CriticalPair(top, left, right, inner, outer, p, i, j)
 
 
 def canonical_renaming(cp: CriticalPair) -> dict:

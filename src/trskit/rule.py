@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Hashable, Sequence
+from typing import Any, Sequence
 
 from . import substitution, term as _term
 from .term import Fun, Term, Var
@@ -41,7 +41,7 @@ class RuleProperties:
 
 @dataclass(frozen=True)
 class TaggedVar:
-    """A variable pushed into a two-sided namespace by `rename_apart`."""
+    """A variable pushed into a two-sided namespace by `tag` and `rename_apart`."""
 
     side: str
     base: Any
@@ -105,17 +105,13 @@ def is_variant_of(r1: Rule, r2: Rule) -> bool:
 
 def rename_apart(r1: Rule, r2: Rule) -> tuple[Rule, Rule]:
     """Variants of ``r1`` and ``r2`` with guaranteed-disjoint variable sets."""
-    return _tag(r1, "L"), _tag(r2, "R")
+    return tag(r1, "L"), tag(r2, "R")
 
 
-def _tag(r: Rule, side: str) -> Rule:
-    def tag(v: Hashable) -> TaggedVar:
-        return TaggedVar(side, v)
-
-    return Rule(
-        _term.map_symbols(r.lhs, tag, lambda f: f),
-        _term.map_symbols(r.rhs, tag, lambda f: f),
-    )
+def tag(r: Rule, side: str) -> Rule:
+    """The variant of ``r`` with each variable ``v`` renamed to ``TaggedVar(side, v)``."""
+    sigma = {v: Var(TaggedVar(side, v)) for v in (*_term.vars(r.lhs), *_term.vars(r.rhs))}
+    return Rule(substitution.apply(sigma, r.lhs), substitution.apply(sigma, r.rhs))
 
 
 def render(r: Rule) -> str:

@@ -100,34 +100,81 @@ def unify(s: Term, t: Term) -> Optional[Substitution]:
 
     Returns an idempotent substitution with fully applied bindings (no
     bound variable occurs in any stored image), or ``None`` on a symbol
-    clash or occurs-check violation.
+    clash or occurs-check violation.  The keys are in the order the
+    variables were bound.
     """
+    # Bindings are triangular while unifying: an image is stored as found
+    # and may mention variables bound later, so a binding costs no
+    # rewriting of the others (Martelli & Montanari, TOPLAS 1982).
     sigma: dict = {}
     stack = [(s, t)]
     while stack:
         a, b = stack.pop()
-        # Stored images are fully applied, so one lookup resolves a variable,
-        # and a term is substituted only when it becomes the image of a binding.
-        if isinstance(a, Var):
-            a = sigma.get(a.name, a)
+        a, b = _resolve(sigma, a), _resolve(sigma, b)
         if isinstance(b, Var):
-            b = sigma.get(b.name, b)
-            if isinstance(b, Var):
-                a, b = b, a
+            a, b = b, a
         if isinstance(a, Var):
             if a == b:
                 continue
-            b = apply(sigma, b)
-            if a.name in _term.vars(b):
+            if _occurs(sigma, a.name, b):
                 return None
-            binding = {a.name: b}
-            sigma = {v: apply(binding, u) for v, u in sigma.items()}
             sigma[a.name] = b
         elif a.symbol == b.symbol and len(a.args) == len(b.args):
             stack.extend(zip(a.args, b.args))
         else:
             return None
-    return sigma
+    return _solve(sigma)
+
+
+def _resolve(sigma: dict, t: Term) -> Term:
+    """Follow the triangular ``sigma`` from ``t`` to an application or an
+    unbound variable, and bind each variable passed to that end."""
+    path = []
+    while isinstance(t, Var) and t.name in sigma:
+        path.append(t.name)
+        t = sigma[t.name]
+    # Path compression: later walks from these variables take one step.
+    for v in path:
+        sigma[v] = t
+    return t
+
+
+def _occurs(sigma: dict, name: Hashable, t: Term) -> bool:
+    """Whether the variable ``name`` occurs in ``t`` under the triangular ``sigma``."""
+    seen: set = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Fun):
+            stack.extend(u.args)
+        elif u.name == name:
+            return True
+        elif u.name in sigma and u.name not in seen:
+            seen.add(u.name)
+            stack.append(sigma[u.name])
+    return False
+
+
+def _solve(sigma: dict) -> Substitution:
+    """The triangular ``sigma`` fully applied, each image solved once, in key order."""
+    solved: dict = {}
+    for root in sigma:
+        # Depth first: a variable is solved once the bound variables of its
+        # image are.  The occurs check keeps the bindings acyclic.
+        todo = [root]
+        while todo:
+            v = todo[-1]
+            if v in solved:
+                todo.pop()
+                continue
+            image = sigma[v]
+            pending = [u for u in _term.vars(image) if u in sigma and u not in solved]
+            if pending:
+                todo.extend(pending)
+            else:
+                todo.pop()
+                solved[v] = apply(solved, image)
+    return {v: solved[v] for v in sigma}
 
 
 def to_generalized(sigma: Mapping, variables: Iterable[Hashable]) -> GeneralizedSubstitution:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from termgen import random_term, random_valid_rule, rule_strategy
-from trskit import analysis, criticalpairs, problem, rewriting
+from trskit import analysis, criticalpairs, problem, rewriting, substitution
 from trskit.analysis import LocallyConfluent, NotConfluent, Unknown
 from trskit.rewriting import Strategy
 from trskit.rule import InvalidRuleError, Rule
@@ -195,6 +195,63 @@ def test_overlap_free_is_confluent_with_zero_budget():
     assert criticalpairs.critical_pairs(rules) == []
     assert analysis.check_local_confluence(rules, 0) == LocallyConfluent()
     assert analysis.check_local_confluence([], 0) == LocallyConfluent()
+
+
+def reference_check_local_confluence(rules, max_steps):
+    """Build the full list of critical pairs, then join them in order."""
+    unresolved = 0
+    for cp in criticalpairs.critical_pairs(rules, criticalpairs.Scope.ALL):
+        left = analysis.nf(rules, cp.left, max_steps)
+        right = analysis.nf(rules, cp.right, max_steps)
+        if left.reached_normal_form and right.reached_normal_form:
+            if left.term != right.term:
+                return NotConfluent(cp, left.term, right.term)
+        else:
+            unresolved += 1
+    if unresolved:
+        return Unknown(unresolved)
+    return LocallyConfluent()
+
+
+def assert_same_verdict(rules, budget):
+    # Equal verdicts: for NO the whole witness pair and both normal forms,
+    # for MAYBE the number of unresolved pairs.
+    got = analysis.check_local_confluence(rules, budget)
+    assert got == reference_check_local_confluence(rules, budget), (rules, budget)
+    return type(got)
+
+
+def test_check_lc_replays_the_reference_on_random_systems():
+    rng = random.Random(77)
+    kinds = set()
+    for _ in range(150):
+        rules = [random_valid_rule(rng) for _ in range(rng.randint(1, 6))]
+        for budget in (0, 2, 6):
+            kinds.add(assert_same_verdict(rules, budget))
+    assert kinds == {LocallyConfluent, NotConfluent, Unknown}
+
+
+def test_check_lc_replays_the_reference_on_the_corpus():
+    for path in sorted(CORPUS.glob("*.trs")):
+        rules = problem.parse(path.read_text()).strict_rules
+        for budget in (0, 5, 100):
+            assert_same_verdict(rules, budget)
+
+
+def test_check_lc_stops_at_the_first_no(monkeypatch):
+    h = lambda t: Fun("h", (t,))
+    # Pair 0 (rule 1 below rule 0) is a NO; the h rules overlap each other
+    # at the root, 40 * 39 pairs after it.
+    rules = [Rule(f(a), b), Rule(a, c)] + [Rule(h(x), Fun(f"c{k}")) for k in range(40)]
+    assert len(criticalpairs.critical_pairs(rules)) == 1 + 40 * 39
+    calls = []
+    unify = substitution.unify
+    monkeypatch.setattr(substitution, "unify", lambda s, t: calls.append(1) or unify(s, t))
+    verdict = analysis.check_local_confluence(rules, 10)
+    assert isinstance(verdict, NotConfluent)
+    cp = verdict.witness
+    assert (cp.right_rule_index, cp.left_pos, cp.left_rule_index) == (0, (0,), 1)
+    assert len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 import itertools
+import time
 
+import pytest
 from hypothesis import given
 
 from termgen import enumerate_terms, subst_strategy, term_strategy
@@ -205,6 +207,37 @@ def test_unify_against_enumerated_unifiers():
             unified = substitution.apply(sigma, s)
             for tau in unifiers:
                 assert substitution.match(unified, substitution.apply(tau, s)) is not None
+
+
+MANY = 20_000
+# A unifier that rewrites every stored image per new binding takes about
+# 50 s on a case at this size (2-vCPU machine); triangular bindings take
+# about 0.1 s.
+MANY_SECONDS = 5.0
+
+
+def many_bindings(kind, n):
+    """``(s, t, bindings)``: a pair whose mgu has ``n`` bindings, and that
+    mgu's items in bind order."""
+    xs = [Var(f"x{i}") for i in range(n + 1)]
+    if kind == "constant":
+        return f(*xs[:n]), f(*xs[1:n], a), [(f"x{i}", a) for i in range(n - 1, -1, -1)]
+    if kind == "chain":
+        return f(*xs[:n]), f(*xs[1:]), [(f"x{i}", xs[0]) for i in range(n, 0, -1)]
+    # One variable against all: without path compression, each binding
+    # lengthens the walk from y.
+    return f(*xs[:n]), f(*[y] * n), [("y", xs[0])] + [(f"x{i}", xs[0]) for i in range(n - 1, 0, -1)]
+
+
+@pytest.mark.parametrize("kind", ["constant", "chain", "one_variable"])
+def test_unify_many_bindings(kind):
+    s, t, want = many_bindings(kind, 5)
+    assert list(reference_unify(s, t).items()) == want
+    s, t, want = many_bindings(kind, MANY)
+    start = time.perf_counter()
+    sigma = substitution.unify(s, t)
+    assert time.perf_counter() - start < MANY_SECONDS
+    assert list(sigma.items()) == want
 
 
 def test_conversions():
