@@ -67,7 +67,11 @@ def nf(rules: Sequence[Rule], t: Term, max_steps: int) -> NormalizationResult:
     and ``reached_normal_form`` is true, also when ``steps == max_steps``.
     """
     _rule.check_valid(rules)
-    by_root = _rule.index_by_root(rules)
+    return _nf(_rule.index_by_root(rules), t, max_steps)
+
+
+def _nf(by_root: dict, t: Term, max_steps: int) -> NormalizationResult:
+    """`nf` under valid rules indexed by `rule.index_by_root`."""
     steps = 0
     # A frame is an application whose arguments are being normalized: its
     # pattern, the substitution the pattern stands under (None for a subterm
@@ -136,10 +140,11 @@ def check_local_confluence(rules: Sequence[Rule], max_steps: int) -> ConfluenceV
     the witness of the NO; pairs after it are never built.
     """
     _rule.check_valid(rules)
+    by_root = _rule.index_by_root(rules)
     unresolved = 0
-    for cp in _cp._pairs(rules, _cp.Scope.ALL):
-        left = nf(rules, cp.left, max_steps)
-        right = nf(rules, cp.right, max_steps)
+    for cp in _cp._pairs(rules, by_root, _cp.Scope.ALL):
+        left = _nf(by_root, cp.left, max_steps)
+        right = _nf(by_root, cp.right, max_steps)
         if left.reached_normal_form and right.reached_normal_form:
             if left.term != right.term:
                 return NotConfluent(cp, left.term, right.term)

@@ -140,33 +140,25 @@ def cmd_props(args) -> int:
     p = _load(args)
     rules = p.strict_rules + p.weak_rules
     props = rewriting.list_properties(rules)
+    fields = [
+        ("strictRules", "strict rules", len(p.strict_rules)),
+        ("weakRules", "weak rules", len(p.weak_rules)),
+        ("valid", "valid", props.valid),
+        ("leftLinear", "left-linear", props.left_linear),
+        ("rightLinear", "right-linear", props.right_linear),
+        ("linear", "linear", props.linear),
+        ("duplicating", "duplicating", props.duplicating),
+        ("collapsing", "collapsing", props.collapsing),
+        ("erasing", "erasing", props.erasing),
+        ("ground", "ground", props.ground),
+    ]
     if args.json:
-        _emit_json(
-            {
-                "strictRules": len(p.strict_rules),
-                "weakRules": len(p.weak_rules),
-                "valid": props.valid,
-                "leftLinear": props.left_linear,
-                "rightLinear": props.right_linear,
-                "linear": props.linear,
-                "duplicating": props.duplicating,
-                "collapsing": props.collapsing,
-                "erasing": props.erasing,
-                "ground": props.ground,
-            }
-        )
+        _emit_json({key: value for key, _, value in fields})
     else:
-        yn = lambda b: "yes" if b else "no"
-        print(f"strict rules: {len(p.strict_rules)}")
-        print(f"weak rules: {len(p.weak_rules)}")
-        print(f"valid: {yn(props.valid)}")
-        print(f"left-linear: {yn(props.left_linear)}")
-        print(f"right-linear: {yn(props.right_linear)}")
-        print(f"linear: {yn(props.linear)}")
-        print(f"duplicating: {yn(props.duplicating)}")
-        print(f"collapsing: {yn(props.collapsing)}")
-        print(f"erasing: {yn(props.erasing)}")
-        print(f"ground: {yn(props.ground)}")
+        for _, label, value in fields:
+            if isinstance(value, bool):
+                value = "yes" if value else "no"
+            print(f"{label}: {value}")
     return 0 if props.valid else 1
 
 
@@ -232,21 +224,20 @@ def cmd_check_lc(args) -> int:
             print("YES")
         return 0
     if isinstance(verdict, analysis.NotConfluent):
-        mapping = criticalpairs.canonical_renaming(verdict.witness)
-        rename = lambda t: term.map_symbols(t, lambda v: mapping[v], lambda f: f)
-        nf_left, nf_right = rename(verdict.nf_left), rename(verdict.nf_right)
+        w = verdict.witness
+        nf_left, nf_right = criticalpairs.canonical_terms(w, verdict.nf_left, verdict.nf_right)[3:]
         if args.json:
             _emit_json(
                 {
                     "status": "NO",
-                    "witness": criticalpairs.to_json(verdict.witness),
+                    "witness": criticalpairs.to_json(w),
                     "nfLeft": term.to_json(nf_left),
                     "nfRight": term.to_json(nf_right),
                 }
             )
         else:
             print("NO")
-            print(criticalpairs.render(verdict.witness))
+            print(criticalpairs.render(w))
             print(f"normal form of left: {term.render(nf_left)}")
             print(f"normal form of right: {term.render(nf_right)}")
         return 1

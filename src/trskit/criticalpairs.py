@@ -47,13 +47,13 @@ class CriticalPair:
 def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[CriticalPair]:
     """All critical pairs of ``rules``, in order of (outer rule, position, inner rule)."""
     _rule.check_valid(rules)
-    return list(_pairs(rules, scope))
+    return list(_pairs(rules, _rule.index_by_root(rules), scope))
 
 
-def _pairs(rules: Sequence[Rule], scope: Scope):
-    """The critical pairs of the valid ``rules`` one at a time, in the order
-    of `critical_pairs`, so that a caller can stop at any of them."""
-    by_root = _rule.index_by_root(rules)
+def _pairs(rules: Sequence[Rule], by_root: dict, scope: Scope):
+    """The critical pairs of the valid ``rules``, indexed in ``by_root`` by
+    `rule.index_by_root`, one at a time in the order of `critical_pairs`,
+    so that a caller can stop at any of them."""
     # Rule i's variant on the left side, made when it is first tried;
     # TaggedVar compares by value, so one variant serves every overlap.
     left_variants: dict = {}
@@ -98,10 +98,12 @@ def canonical_renaming(cp: CriticalPair) -> dict:
     return mapping
 
 
-def canonical_terms(cp: CriticalPair) -> tuple[Term, Term, Term]:
+def canonical_terms(cp: CriticalPair, *more: Term) -> tuple[Term, ...]:
+    """The pair's peak and reducts, then ``more`` terms over its variables,
+    renamed by `canonical_renaming`."""
     mapping = canonical_renaming(cp)
-    rename = lambda t: _term.map_symbols(t, lambda v: mapping[v], lambda f: f)
-    return rename(cp.top), rename(cp.left), rename(cp.right)
+    terms = (cp.top, cp.left, cp.right, *more)
+    return tuple(_term.map_symbols(t, mapping.__getitem__, lambda f: f) for t in terms)
 
 
 def render(cp: CriticalPair) -> str:

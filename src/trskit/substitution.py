@@ -9,6 +9,9 @@ Two application disciplines share the plain-dict representation:
   different variable namespace, so an unmapped variable is a failure and
   application returns ``None``.  Matching produces generalized
   substitutions whose domain is exactly the pattern's variables.
+
+`unify` takes each pair of shared nodes apart once, and its occurs check is
+one search for a cycle in its bindings.
 """
 
 from __future__ import annotations
@@ -100,13 +103,16 @@ def unify(s: Term, t: Term) -> Optional[Substitution]:
 
     Returns an idempotent substitution with fully applied bindings (no
     bound variable occurs in any stored image), or ``None`` on a symbol
-    clash or occurs-check violation.  The keys are in the order the
-    variables were bound.
+    clash or when the bindings form a cycle.  The keys are in the order
+    the variables were bound.
     """
-    # Bindings are triangular while unifying: an image is stored as found
-    # and may mention variables bound later, so a binding costs no
-    # rewriting of the others (Martelli & Montanari, TOPLAS 1982).
+    # Bindings are triangular: an image is stored as found, and `_solve`
+    # does the occurs check once, as a search for a cycle (Martelli &
+    # Montanari, TOPLAS 1982).  A pair of applications met again has its
+    # argument pairs unified already, or the bindings are cyclic; so it is
+    # taken apart once, and cyclic bindings end the loop.
     sigma: dict = {}
+    taken: set = set()
     stack = [(s, t)]
     while stack:
         a, b = stack.pop()
@@ -114,15 +120,13 @@ def unify(s: Term, t: Term) -> Optional[Substitution]:
         if isinstance(b, Var):
             a, b = b, a
         if isinstance(a, Var):
-            if a == b:
-                continue
-            if _occurs(sigma, a.name, b):
-                return None
-            sigma[a.name] = b
-        elif a.symbol == b.symbol and len(a.args) == len(b.args):
-            stack.extend(zip(a.args, b.args))
-        else:
+            if a != b:
+                sigma[a.name] = b
+        elif a.symbol != b.symbol or len(a.args) != len(b.args):
             return None
+        elif a.args and (id(a), id(b)) not in taken:
+            taken.add((id(a), id(b)))
+            stack.extend(zip(a.args, b.args))
     return _solve(sigma)
 
 
@@ -139,28 +143,16 @@ def _resolve(sigma: dict, t: Term) -> Term:
     return t
 
 
-def _occurs(sigma: dict, name: Hashable, t: Term) -> bool:
-    """Whether the variable ``name`` occurs in ``t`` under the triangular ``sigma``."""
-    seen: set = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Fun):
-            stack.extend(u.args)
-        elif u.name == name:
-            return True
-        elif u.name in sigma and u.name not in seen:
-            seen.add(u.name)
-            stack.append(sigma[u.name])
-    return False
-
-
-def _solve(sigma: dict) -> Substitution:
-    """The triangular ``sigma`` fully applied, each image solved once, in key order."""
+def _solve(sigma: dict) -> Optional[Substitution]:
+    """The triangular ``sigma`` fully applied, each image solved once, in key
+    order, or ``None`` if a variable's image depends on the variable."""
     solved: dict = {}
+    # Variables whose image the walk has entered; those not yet solved are
+    # on the path of the walk.
+    entered: set = set()
     for root in sigma:
         # Depth first: a variable is solved once the bound variables of its
-        # image are.  The occurs check keeps the bindings acyclic.
+        # image are.
         todo = [root]
         while todo:
             v = todo[-1]
@@ -170,6 +162,9 @@ def _solve(sigma: dict) -> Substitution:
             image = sigma[v]
             pending = [u for u in _term.vars(image) if u in sigma and u not in solved]
             if pending:
+                entered.add(v)
+                if not entered.isdisjoint(pending):
+                    return None
                 todo.extend(pending)
             else:
                 todo.pop()

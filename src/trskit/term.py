@@ -1,12 +1,13 @@
 """First-order terms: variables and function symbols applied to arguments.
 
-Terms are immutable trees.  Variable and function-symbol identifiers are
-opaque: anything hashable with equality works (strings in practice,
-tagged pairs when rules are renamed apart).  A constant is a ``Fun`` with
-no arguments; there is no separate constructor for it.
+Terms are immutable trees, which may share subterm objects.  Variable and
+function-symbol identifiers are opaque: anything hashable with equality
+works (strings in practice, tagged pairs when rules are renamed apart).  A
+constant is a ``Fun`` with no arguments; there is no separate constructor.
 
 Every traversal here, ``==``, ``hash`` and ``repr`` included, keeps its own
 stack, so terms of any depth work at Python's default recursion limit.
+``==`` compares each pair of shared nodes once; the others walk the tree.
 """
 
 from __future__ import annotations
@@ -40,13 +41,16 @@ class Fun:
         object.__setattr__(self, "args", tuple(self.args))
 
     def __eq__(self, other: object) -> bool:
-        """Structural equality; a pair of identical subterms is not walked."""
+        """Structural equality.  A pair of identical subterms is not walked,
+        and neither is a pair of nodes met before, so terms that share
+        subterms cost the size of their DAGs, not of the unfolded trees."""
         if not isinstance(other, Fun):
             return NotImplemented
         if self.symbol != other.symbol or len(self.args) != len(other.args):
             return False
         if self is other:
             return True
+        compared: set = set()
         stack = list(zip(self.args, other.args))
         while stack:
             s, t = stack.pop()
@@ -57,7 +61,8 @@ class Fun:
                     return False
             elif s.symbol != t.symbol or len(s.args) != len(t.args):
                 return False
-            else:
+            elif s.args and (id(s), id(t)) not in compared:
+                compared.add((id(s), id(t)))
                 stack.extend(zip(s.args, t.args))
         return True
 

@@ -36,6 +36,15 @@ def random_valid_rule(rng: random.Random, max_depth: int = 2):
     return Rule(lhs, rhs)
 
 
+def dag(depth: int, leaf, symbol: str = "f"):
+    """``symbol(t, t)`` with one shared object ``t``, ``depth`` times over
+    ``leaf``: ``depth + 1`` objects that unfold to ``2**(depth + 1) - 1`` nodes."""
+    t = leaf
+    for _ in range(depth):
+        t = Fun(symbol, (t, t))
+    return t
+
+
 def enumerate_terms(max_depth: int, signature=SIGNATURE, variables=VARIABLES) -> list:
     """All terms of depth at most ``max_depth`` over the given symbols."""
     leaves = [Var(v) for v in variables] + [Fun(s) for s, n in signature if n == 0]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from termgen import random_term, random_valid_rule, rule_strategy
-from trskit import analysis, criticalpairs, problem, rewriting, substitution
+from trskit import analysis, criticalpairs, problem, rewriting, rule, substitution
 from trskit.analysis import LocallyConfluent, NotConfluent, Unknown
 from trskit.rewriting import Strategy
 from trskit.rule import InvalidRuleError, Rule
@@ -164,6 +164,45 @@ def test_nf_keeps_duplicated_arguments_shared():
                 seen.add(id(s))
                 todo.append(s)
     assert len(seen) == 42
+
+
+def sharing_family(n):
+    """YES after about 2n + 3 steps per side; each side's normal form is a
+    DAG of n + 2 objects that unfolds to about 2**n nodes."""
+    s = lambda t: Fun("s", (t,))
+    dd = lambda t: Fun("d", (t,))
+    q = lambda t: Fun("q", (t,))
+    big = Fun("N")
+    return [
+        Rule(f(a), dd(big)),
+        Rule(a, b),
+        Rule(f(b), dd(big)),
+        Rule(big, numeral(n)),
+        Rule(dd(s(x)), q(dd(x))),
+        Rule(q(x), Fun("p", (x, x))),
+        Rule(dd(Fun("0")), c),
+    ]
+
+
+def test_check_lc_compares_shared_normal_forms_once(time_limit):
+    # A bool, so that a failure report renders no normal form.
+    with time_limit(1.0):
+        yes = analysis.check_local_confluence(sharing_family(40), 1000) == LocallyConfluent()
+    assert yes
+
+
+def test_check_lc_validates_and_indexes_the_rules_once(monkeypatch):
+    calls = []
+    for name in ("check_valid", "index_by_root"):
+
+        def counted(rules, name=name, original=getattr(rule, name)):
+            calls.append(name)
+            return original(rules)
+
+        monkeypatch.setattr(rule, name, counted)
+    rules = [Rule(a, b), Rule(a, c), Rule(b, d), Rule(c, d)]
+    assert analysis.check_local_confluence(rules, 10) == LocallyConfluent()
+    assert calls == ["check_valid", "index_by_root"]
 
 
 def test_check_lc_yes():

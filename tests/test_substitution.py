@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given
 
-from termgen import enumerate_terms, subst_strategy, term_strategy
+from termgen import dag, enumerate_terms, subst_strategy, term_strategy
 from trskit import substitution, term
 from trskit.term import Fun, Var
 
@@ -21,6 +21,16 @@ def g(t):
 
 
 terms = term_strategy()
+
+# Every test here fails after this long instead of running for ever, since
+# `unify` without its pair memo loops on some cyclic bindings.
+SECONDS_PER_TEST = 60.0
+
+
+@pytest.fixture(autouse=True)
+def fail_instead_of_looping(time_limit):
+    with time_limit(SECONDS_PER_TEST):
+        yield
 
 
 def test_apply_examples():
@@ -211,8 +221,9 @@ def test_unify_against_enumerated_unifiers():
 
 MANY = 20_000
 # A unifier that rewrites every stored image per new binding takes about
-# 50 s on a case at this size (2-vCPU machine); triangular bindings take
-# about 0.1 s.
+# 50 s on a case at this size (2-vCPU machine), and one with an occurs
+# check per binding about 86 s on the image chain; triangular bindings
+# checked for a cycle once take about 0.1 s.
 MANY_SECONDS = 5.0
 
 
@@ -224,12 +235,20 @@ def many_bindings(kind, n):
         return f(*xs[:n]), f(*xs[1:n], a), [(f"x{i}", a) for i in range(n - 1, -1, -1)]
     if kind == "chain":
         return f(*xs[:n]), f(*xs[1:]), [(f"x{i}", xs[0]) for i in range(n, 0, -1)]
+    if kind == "image_chain":
+        # Each image mentions the variable bound before it: x(i) gets
+        # g^(n-i)(x(n)).
+        bindings, image = [], xs[n]
+        for i in range(n - 1, -1, -1):
+            image = g(image)
+            bindings.append((f"x{i}", image))
+        return f(*xs[:n]), f(*map(g, xs[1:])), bindings
     # One variable against all: without path compression, each binding
     # lengthens the walk from y.
     return f(*xs[:n]), f(*[y] * n), [("y", xs[0])] + [(f"x{i}", xs[0]) for i in range(n - 1, 0, -1)]
 
 
-@pytest.mark.parametrize("kind", ["constant", "chain", "one_variable"])
+@pytest.mark.parametrize("kind", ["constant", "chain", "one_variable", "image_chain"])
 def test_unify_many_bindings(kind):
     s, t, want = many_bindings(kind, 5)
     assert list(reference_unify(s, t).items()) == want
@@ -237,7 +256,73 @@ def test_unify_many_bindings(kind):
     start = time.perf_counter()
     sigma = substitution.unify(s, t)
     assert time.perf_counter() - start < MANY_SECONDS
-    assert list(sigma.items()) == want
+    assert list(sigma) == [v for v, _ in want]
+    # One `==` over all the images, so that the parts the chained images
+    # share are compared once; a bool, so that a failure report does not
+    # render n**2 / 2 nodes.
+    same = Fun("images", tuple(sigma.values())) == Fun("images", tuple(u for _, u in want))
+    assert same
+
+
+def test_unify_cyclic_image_chain():
+    def cyclic(n):
+        # x(i) against g(x(i+1)), and the last against g(x0).
+        xs = [Var(f"x{i}") for i in range(n)]
+        return f(*xs), f(*map(g, xs[1:]), g(xs[0]))
+
+    assert reference_unify(*cyclic(5)) is None
+    s, t = cyclic(MANY)
+    start = time.perf_counter()
+    failed = substitution.unify(s, t) is None
+    assert time.perf_counter() - start < MANY_SECONDS
+    assert failed
+
+
+def test_unify_ends_on_cyclic_bindings():
+    # x is bound to g(g(x)); then g(x) against that image takes a pair of
+    # applications apart again and again, unless each pair is taken apart
+    # once.
+    assert reference_unify(f(x, x), f(g(x), g(g(x)))) is None
+    assert substitution.unify(f(x, x), f(g(x), g(g(x)))) is None
+    assert substitution.unify(f(x, y), f(g(y), g(x))) is None
+
+
+DAG_SECONDS = 0.1
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: substitution.unify(dag(40, x), dag(40, a)) == {"x": a},
+        lambda: substitution.unify(dag(40, x), dag(40, x)) == {},
+        lambda: substitution.match(f(y, y), f(dag(40, a), dag(40, a))) == {"y": dag(40, a)},
+        lambda: substitution.match(f(y, y), f(dag(40, a), dag(40, b))) is None,
+    ],
+    ids=["unify_binds", "unify_equal", "match_equal", "match_differ"],
+)
+def test_unify_and_match_on_separately_built_dags(check):
+    # `check` returns a bool, so that a failure report renders no term:
+    # these unfold to 2**41 nodes.
+    start = time.perf_counter()
+    ok = check()
+    assert time.perf_counter() - start < DAG_SECONDS
+    assert ok
+
+
+@given(terms, terms, subst_strategy())
+def test_unify_replays_the_reference_on_shared_subterms(s, t, tau):
+    # `apply` puts one image object at every occurrence of its variable, so
+    # the sides share subterm objects, also with each other.
+    assert_replays_reference(substitution.apply(tau, s), substitution.apply(tau, t))
+    assert_replays_reference(substitution.apply(tau, f(s, t)), substitution.apply(tau, f(t, s)))
+
+
+@given(term_strategy(("y", "z")), term_strategy(("x", "z")), term_strategy(("x", "y")))
+def test_unify_replays_the_reference_on_cycles_through_bindings(u, v, w):
+    # No image mentions the variable it stands against, so a cycle goes
+    # through two bindings or more.
+    assert_replays_reference(f(x, y, z), f(u, v, w))
+    assert_replays_reference(f(u, v, w), f(x, y, z))
 
 
 def test_conversions():

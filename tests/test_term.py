@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from termgen import term_strategy
+from termgen import dag, term_strategy
 from trskit import position, substitution, term
 from trskit.term import Fun, InvalidPositionError, Var
 
@@ -164,6 +164,16 @@ def test_equal_on_deep_terms(default_recursion_limit):
     assert chain(10000, a) != chain(10000, b)
     assert chain(10000, x) != chain(10001, x)
     assert f(chain(10000, a), x) != f(chain(10000, a), y)
+
+
+def test_equal_on_separately_built_dags(time_limit):
+    # Bools, so that a failure report renders no term: these unfold to
+    # 2**41 nodes.
+    with time_limit(0.1):
+        equal = dag(40, a) == dag(40, a)
+        differ = dag(40, x) != dag(40, y)
+        nested = f(dag(40, a), dag(39, a)) == f(dag(40, a), dag(39, a))
+    assert equal and differ and nested
 
 
 @given(terms, terms)
