@@ -110,7 +110,8 @@ def rename_apart(r1: Rule, r2: Rule) -> tuple[Rule, Rule]:
 
 def tag(r: Rule, side: str) -> Rule:
     """The variant of ``r`` with each variable ``v`` renamed to ``TaggedVar(side, v)``."""
-    sigma = {v: Var(TaggedVar(side, v)) for v in (*_term.vars(r.lhs), *_term.vars(r.rhs))}
+    variables = dict.fromkeys((*_term.vars(r.lhs), *_term.vars(r.rhs)))
+    sigma = {v: Var(TaggedVar(side, v)) for v in variables}
     return Rule(substitution.apply(sigma, r.lhs), substitution.apply(sigma, r.rhs))
 
 

@@ -82,17 +82,20 @@ def match(pattern: Term, subject: Term) -> Optional[GeneralizedSubstitution]:
     pattern's.
     """
     sigma: dict = {}
-    stack = [(pattern, subject)]
-    while stack:
-        p, s = stack.pop()
-        if isinstance(p, Var):
+    # Two parallel stacks: the k-th pattern is to match the k-th subject.
+    patterns, subjects = [pattern], [subject]
+    while patterns:
+        p = patterns.pop()
+        s = subjects.pop()
+        if type(p) is Var:
             seen = sigma.get(p.name)
             if seen is None:
                 sigma[p.name] = s
             elif seen != s:
                 return None
-        elif isinstance(s, Fun) and p.symbol == s.symbol and len(p.args) == len(s.args):
-            stack.extend(zip(p.args, s.args))
+        elif type(s) is Fun and p.symbol == s.symbol and len(p.args) == len(s.args):
+            patterns += p.args
+            subjects += s.args
         else:
             return None
     return sigma

@@ -36,6 +36,29 @@ def random_valid_rule(rng: random.Random, max_depth: int = 2):
     return Rule(lhs, rhs)
 
 
+def root_overlapping_system(rng: random.Random, max_rules: int = 6) -> list:
+    """Valid rules that often overlap at the root: in half of the systems
+    every left-hand side has root ``f``, and in half some rules appear again
+    at other indices, as the same object or with their variables renamed."""
+    same_root = rng.random() < 0.5
+    rules = []
+    for _ in range(rng.randint(1, max_rules)):
+        if same_root:
+            lhs = Fun("f", (random_term(rng, 1), random_term(rng, 1)))
+            rhs = random_term(rng, 2, variables=tuple(dict.fromkeys(term.vars(lhs))))
+            rules.append(Rule(lhs, rhs))
+        else:
+            rules.append(random_valid_rule(rng))
+    if rng.random() < 0.5:
+        renaming = dict(zip(VARIABLES, rng.sample(VARIABLES, len(VARIABLES))))
+        for _ in range(rng.randint(1, 3)):
+            r = rng.choice(rules)
+            if rng.random() < 0.5:
+                r = Rule(*(term.map_symbols(t, renaming.get, lambda s: s) for t in (r.lhs, r.rhs)))
+            rules.insert(rng.randint(0, len(rules)), r)
+    return rules
+
+
 def dag(depth: int, leaf, symbol: str = "f"):
     """``symbol(t, t)`` with one shared object ``t``, ``depth`` times over
     ``leaf``: ``depth + 1`` objects that unfold to ``2**(depth + 1) - 1`` nodes."""

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from termgen import random_term, random_valid_rule, rule_strategy
+from termgen import random_term, random_valid_rule, root_overlapping_system, rule_strategy
 from trskit import analysis, criticalpairs, problem, rewriting, rule, substitution
 from trskit.analysis import LocallyConfluent, NotConfluent, Unknown
 from trskit.rewriting import Strategy
@@ -268,6 +268,31 @@ def test_check_lc_replays_the_reference_on_random_systems():
         for budget in (0, 2, 6):
             kinds.add(assert_same_verdict(rules, budget))
     assert kinds == {LocallyConfluent, NotConfluent, Unknown}
+
+
+def test_check_lc_replays_the_reference_on_root_overlaps():
+    # Duplicated rules and many left sides over one root symbol: most pairs
+    # are root pairs, each joined once by check_local_confluence and twice
+    # by the reference.
+    rng = random.Random(909)
+    kinds = set()
+    for _ in range(300):
+        rules = root_overlapping_system(rng)
+        for budget in (0, 1, 3, 8):
+            kinds.add(assert_same_verdict(rules, budget))
+    assert kinds == {LocallyConfluent, NotConfluent, Unknown}
+
+
+def test_check_lc_joins_each_root_overlap_once(monkeypatch):
+    # a -> f(a) and a -> b overlap at the root only: two mirror pairs, one
+    # join of two sides, and both pairs unresolved.
+    rules = problem.parse((CORPUS / "diverging_choice.trs").read_text()).strict_rules
+    assert len(criticalpairs.critical_pairs(rules)) == 2
+    calls = []
+    nf = analysis._nf
+    monkeypatch.setattr(analysis, "_nf", lambda *args: calls.append(1) or nf(*args))
+    assert analysis.check_local_confluence(rules, 50) == Unknown(2)
+    assert len(calls) == 2
 
 
 def test_check_lc_replays_the_reference_on_the_corpus():

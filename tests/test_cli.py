@@ -1,8 +1,9 @@
 import io
 import json
+import sys
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from trskit import cli
 
@@ -347,8 +348,20 @@ def invocations(draw):
     return argv, budget
 
 
+def loads_deep(text):
+    """`json.loads` past the recursion limit: `normalize FILE a --json` under
+    ``a -> f(a)`` writes a term 1000 steps deep, which nests 2000 levels."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved, 10_000))
+    try:
+        return json.loads(text)
+    finally:
+        sys.setrecursionlimit(saved)
+
+
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(problem_texts(), invocations())
+@example(("as is", CORPUS_TEXTS["diverging_choice.trs"]), (["normalize", "FILE", "a", "--json"], None))
 def test_cli_contract(tmp_path, capsys, problem_text, invocation):
     how, text = problem_text
     argv, budget = invocation
@@ -361,7 +374,7 @@ def test_cli_contract(tmp_path, capsys, problem_text, invocation):
     errors = [line for line in err.splitlines() if line.startswith("trskit: error: ")]
     assert len(errors) <= 1
     if "--json" in argv:
-        doc = json.loads(out)
+        doc = loads_deep(out)
         assert (doc.get("status") == "error") == bool(errors)
     else:
         # A failed run prints no result at all; every result has a line.

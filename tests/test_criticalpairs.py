@@ -1,11 +1,16 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from termgen import brute_force_overlaps, rule_strategy
-from trskit import criticalpairs, rewriting, term
+from termgen import brute_force_overlaps, root_overlapping_system, rule_strategy
+from trskit import criticalpairs, problem, rewriting, rule, term
 from trskit.criticalpairs import Scope
 from trskit.rule import InvalidRuleError, Rule
 from trskit.term import Fun, Var
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 x, y = Var("x"), Var("y")
 a, b, c = Fun("a"), Fun("b"), Fun("c")
@@ -58,6 +63,28 @@ def test_no_trivial_self_root_overlap():
     assert criticalpairs.critical_pairs([Rule(a, b)]) == []
     # two identical rules at different indices do overlap at the root
     assert len(criticalpairs.critical_pairs([Rule(a, b), Rule(a, b)])) == 2
+
+
+def assert_root_pairs_mirror_each_other(rules):
+    """Each root pair (inner i, outer j) has a mirror (inner j, outer i)
+    whose sides are its own sides swapped, up to one renaming of variables."""
+    cps = criticalpairs.critical_pairs(rules)
+    root = {(cp.left_rule_index, cp.right_rule_index): cp for cp in cps if cp.left_pos == ()}
+    for (i, j), m in root.items():
+        c = root[j, i]
+        assert rule.is_variant_of(Rule(m.left, m.right), Rule(c.right, c.left)), (rules, i, j)
+    return len(root)
+
+
+def test_root_pairs_mirror_each_other_on_the_corpus():
+    systems = [problem.parse(path.read_text()).strict_rules for path in sorted(CORPUS.glob("*.trs"))]
+    assert sum(map(assert_root_pairs_mirror_each_other, systems)) > 0
+
+
+def test_root_pairs_mirror_each_other_on_random_systems():
+    rng = random.Random(31)
+    systems = [root_overlapping_system(rng) for _ in range(1200)]
+    assert sum(map(assert_root_pairs_mirror_each_other, systems)) > 5000
 
 
 def test_scopes():

@@ -95,6 +95,20 @@ def test_rename_apart():
     assert not set(term.vars(r1.lhs)) & set(term.vars(r2.lhs))
 
 
+def test_tag_builds_one_variable_per_distinct_variable(monkeypatch):
+    built = []
+
+    def counted(side, base, original=TaggedVar):
+        built.append(base)
+        return original(side, base)
+
+    monkeypatch.setattr(rule, "TaggedVar", counted)
+    tagged = rule.tag(Rule(f(x, f(y, x)), g(f(x, y), x)), "L")
+    xl, yl = Var(TaggedVar("L", "x")), Var(TaggedVar("L", "y"))
+    assert tagged == Rule(f(xl, f(yl, xl)), g(f(xl, yl), xl))
+    assert built == ["x", "y"]
+
+
 @given(rule_strategy(), rule_strategy())
 def test_rename_apart_gives_disjoint_variants(r1, r2):
     s1, s2 = rule.rename_apart(r1, r2)

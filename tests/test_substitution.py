@@ -2,7 +2,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from termgen import dag, enumerate_terms, subst_strategy, term_strategy
 from trskit import substitution, term
@@ -95,6 +95,69 @@ def test_match_sound(pattern, subject):
     if sigma is not None:
         assert substitution.apply_generalized(sigma, pattern) == subject
         assert set(sigma) == set(term.vars(pattern))
+
+
+def reference_match(pattern, subject):
+    """Matching over one stack of (pattern, subject) pairs."""
+    sigma: dict = {}
+    stack = [(pattern, subject)]
+    while stack:
+        p, s = stack.pop()
+        if isinstance(p, Var):
+            seen = sigma.get(p.name)
+            if seen is None:
+                sigma[p.name] = s
+            elif seen != s:
+                return None
+        elif isinstance(s, Fun) and p.symbol == s.symbol and len(p.args) == len(s.args):
+            stack.extend(zip(p.args, s.args))
+        else:
+            return None
+    return sigma
+
+
+def assert_match_replays_reference(pattern, subject):
+    """The same bindings in the same key order as the reference, or ``None`` for both."""
+    got, want = substitution.match(pattern, subject), reference_match(pattern, subject)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and list(got.items()) == list(want.items())
+
+
+@given(terms, terms)
+def test_match_replays_the_reference(pattern, subject):
+    assert_match_replays_reference(pattern, subject)
+
+
+# Images for the variable occurrences of a pattern; two occurrences of one
+# variable of a non-linear pattern often draw the same image, and often not.
+occurrence_images = st.lists(
+    st.sampled_from([a, b, x, g(a), f(y, a)]), min_size=12, max_size=12
+)
+
+
+@given(terms, occurrence_images)
+def test_match_replays_the_reference_on_near_instances(pattern, images):
+    # Each variable occurrence, left to right, replaced by the next image.
+    it = iter(images)
+    subject = term.fold(pattern, lambda v: next(it), lambda s, args: Fun(s, tuple(args)))
+    assert_match_replays_reference(pattern, subject)
+
+
+def test_match_replays_the_reference_on_non_linear_patterns():
+    for pattern, subject in [
+        (f(x, x), f(a, a)),
+        (f(x, x), f(a, b)),
+        (f(x, f(y, x)), f(g(b), f(a, g(b)))),
+        (f(x, f(y, x)), f(g(b), f(a, g(a)))),
+        (f(f(x, y), f(y, x)), f(f(a, b), f(b, a))),
+        (f(f(x, y), f(y, x)), f(f(a, b), f(a, b))),
+        (f(x, g(x)), f(y, g(y))),
+        (f(x, a), f(b, g(a))),
+        (g(x), x),
+    ]:
+        assert_match_replays_reference(pattern, subject)
 
 
 def test_unify_examples():
