@@ -13,6 +13,7 @@ the library's traversals keep their own stacks, and so does the writer of
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -36,7 +37,7 @@ def main(argv=None) -> int:
     if getattr(args, "max_steps", 0) < 0:
         return _fail(args, f"--max-steps must be at least 0, not {args.max_steps}")
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (problem.ParseError, InvalidRuleError, OSError) as e:
         return _fail(args, str(e))
 
@@ -249,7 +250,10 @@ def cmd_check_lc(args) -> int:
     return 2
 
 
+@functools.cache
 def _arg_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  Commands are looked up by name when
+    `main` runs, so a ``cmd_*`` replaced after it is built still runs."""
     parser = argparse.ArgumentParser(
         prog="trskit",
         description="first-order term rewriting toolkit for WST (old TPDB) problem files",
@@ -266,24 +270,24 @@ def _arg_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("parse", parents=[common], help="parse a problem and reprint it canonically")
-    p.set_defaults(func=cmd_parse)
+    p.set_defaults(command="parse")
 
     p = sub.add_parser("props", parents=[common], help="report syntactic properties of the rules")
-    p.set_defaults(func=cmd_props)
+    p.set_defaults(command="props")
 
     p = sub.add_parser("cps", parents=[common], help="list critical pairs")
     p.add_argument("--scope", choices=sorted(_SCOPE_FLAGS), default="all")
-    p.set_defaults(func=cmd_cps)
+    p.set_defaults(command="cps")
 
     p = sub.add_parser("rewrite", parents=[common], help="apply one rewrite step to a term")
     p.add_argument("term", help="term to rewrite, e.g. 'f(a,x)'")
     p.add_argument("--strategy", choices=sorted(_STRATEGY_FLAGS), default="full")
-    p.set_defaults(func=cmd_rewrite)
+    p.set_defaults(command="rewrite")
 
     p = sub.add_parser("normalize", parents=[common], help="reduce a term to normal form")
     p.add_argument("term", help="term to normalize")
     p.add_argument("--max-steps", type=int, default=1000, help="rewrite-step budget (default 1000)")
-    p.set_defaults(func=cmd_normalize)
+    p.set_defaults(command="normalize")
 
     p = sub.add_parser(
         "check-lc",
@@ -292,7 +296,7 @@ def _arg_parser() -> argparse.ArgumentParser:
         "(for terminating systems this decides confluence)",
     )
     p.add_argument("--max-steps", type=int, default=1000, help="rewrite-step budget per side (default 1000)")
-    p.set_defaults(func=cmd_check_lc)
+    p.set_defaults(command="check_lc")
 
     return parser
 

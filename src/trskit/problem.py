@@ -29,14 +29,22 @@ and ``\xa0``.  `ParseError` carries a 1-based line and column.  Only
 ``\n`` ends a line; every other character, tab and ``\r`` included, is one
 column.  An error at the end of the input points just past its last
 character.
+
+The reader works on the tokens as plain strings from one regex pass.  The
+offset of a token in the text is computed only when an error or the raw
+text of a preserved section needs it.  One parse builds one node per
+variable or constant name and shares it among the occurrences of that name
+(`trskit.term` allows shared subterms); arities are still checked at every
+occurrence.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
 from . import rule as _rule, term as _term
 from .rewriting import Strategy
@@ -71,10 +79,11 @@ class Problem:
         )
 
 
-# A token is a special character or a maximal run of other non-whitespace;
-# its kind is lparen, rparen, comma, quote, arrow or ident.
-_KINDS = {"(": "lparen", ")": "rparen", ",": "comma", '"': "quote", "->": "arrow", "->=": "arrow"}
+# A token is a special character or a maximal run of other non-whitespace.
 _TOKEN = re.compile(r'\s*([(),"]|[^\s(),"]+)')
+_ARROWS = ("->", "->=")
+# Tokens that are not identifiers, and the sentinel "" that ends a token list.
+_NOT_IDENT = frozenset(("(", ")", ",", '"', *_ARROWS, ""))
 
 _STRATEGY_NAMES = {
     "FULL": Strategy.FULL,
@@ -83,86 +92,111 @@ _STRATEGY_NAMES = {
 }
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` for every token of ``text``, in order."""
-    return [(_KINDS.get(m[1], "ident"), m[1], m.start(1)) for m in _TOKEN.finditer(text)]
+class _Source:
+    """The tokens of ``text``, as strings ended by the sentinel ``""``, and
+    their offsets in ``text``, found only when asked for.
+
+    No token is ``""``, so reading one or two tokens ahead of any token but
+    the sentinel needs no bounds check.  Offsets come from one `finditer`
+    pass that resumes where the last request left it, and starts again
+    only when an earlier token is asked for.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[str] = _TOKEN.findall(text)
+        self.tokens.append("")
+        self._matches: Optional[Iterator[re.Match]] = None
+        self._next = 0  # index of the token that ``_matches`` yields next
+
+    def offset(self, i: int) -> int:
+        """Offset of the ``i``-th token of the text; ``len(text)`` if there
+        are not that many."""
+        if self._matches is None or i < self._next:
+            self._matches, self._next = _TOKEN.finditer(self.text), 0
+        m = next(islice(self._matches, i - self._next, None), None)
+        self._next = i + 1
+        return len(self.text) if m is None else m.start(1)
+
+    def error(self, message: str, i: int) -> ParseError:
+        """A `ParseError` at token ``i``."""
+        text, off = self.text, self.offset(i)
+        return ParseError(message, text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
 
 
-def _error(text: str, message: str, off: int) -> ParseError:
-    """A `ParseError` at offset ``off`` of ``text``."""
-    return ParseError(message, text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
-
-
-def _closing(text: str, tokens: list, i: int) -> int:
-    """Index of the ``)`` that closes the section whose body starts at token ``i``."""
+def _closing(tokens: list[str], i: int) -> int:
+    """Index of the ``)`` that closes the section whose body starts at token
+    ``i``, or of the sentinel if the input ends first."""
     depth = 0
-    for j in range(i, len(tokens)):
-        kind = tokens[j][0]
-        if kind == "lparen":
+    while True:
+        word = tokens[i]
+        if word == "(":
             depth += 1
-        elif kind == "rparen":
+        elif word == ")":
             if depth == 0:
-                return j
+                return i
             depth -= 1
-    raise _error(text, "unbalanced parentheses", len(text))
+        elif not word:
+            return i
+        i += 1
 
 
 def parse(text: str, *, check_arity: bool = True) -> Problem:
     """Parse a WST problem, or raise `ParseError` with a source position."""
-    tokens = _tokenize(text)
+    src = _Source(text)
+    tokens = src.tokens
 
-    def token(i: int) -> tuple[str, str, int]:
-        if i >= len(tokens):
-            raise _error(text, "unbalanced parentheses", len(text))
-        return tokens[i]
+    def fail(message: str, i: int) -> ParseError:
+        """The error at token ``i``; at the sentinel, a section is left open."""
+        return src.error(message if tokens[i] else "unbalanced parentheses", i)
 
     variables: dict = {}  # ordered and without duplicates
     seen: set = set()
-    rule_tokens: list = []
-    rules_end = 0
+    rules_at = len(tokens) - 1  # first token of the rules; without RULES, the sentinel
     strategy: Optional[Strategy] = None
     comment: Optional[str] = None
     preserved: list[tuple[str, str]] = []
 
     i = 0
-    while i < len(tokens):
-        kind, word, off = tokens[i]
-        if kind == "rparen":
-            raise _error(text, "unbalanced parentheses", off)
-        if kind != "lparen":
-            raise _error(text, f"expected '(', found {word!r}", off)
-        kind, name, off = token(i + 1)
-        if kind not in ("ident", "arrow"):
-            raise _error(text, "expected section key", off)
+    while tokens[i]:
+        if tokens[i] == ")":
+            raise fail("unbalanced parentheses", i)
+        if tokens[i] != "(":
+            raise fail(f"expected '(', found {tokens[i]!r}", i)
+        name = tokens[i + 1]
+        if name in _NOT_IDENT and name not in _ARROWS:
+            raise fail("expected section key", i + 1)
         if name in ("VAR", "RULES", "STRATEGY"):
             if name in seen:
-                raise _error(text, f"duplicate {name} section", off)
+                raise fail(f"duplicate {name} section", i + 1)
             seen.add(name)
         i += 2
         if name == "VAR":
-            while True:
-                kind, word, off = token(i)
-                i += 1
-                if kind == "rparen":
-                    break
-                if kind != "ident":
-                    raise _error(text, f"expected variable name, found {word!r}", off)
+            while tokens[i] != ")":
+                word = tokens[i]
+                if word in _NOT_IDENT:
+                    raise fail(f"expected variable name, found {word!r}", i)
                 variables[word] = None
+                i += 1
+            i += 1
         elif name == "STRATEGY":
-            kind, word, off = token(i)
-            if kind != "ident" or word not in _STRATEGY_NAMES:
-                raise _error(text, f"unknown STRATEGY keyword {word!r}", off)
+            word = tokens[i]
+            if word not in _STRATEGY_NAMES:
+                raise fail(f"unknown STRATEGY keyword {word!r}", i)
             strategy = _STRATEGY_NAMES[word]
-            kind, word, off = token(i + 1)
-            if kind != "rparen":
-                raise _error(text, f"expected ')' after strategy, found {word!r}", off)
+            word = tokens[i + 1]
+            if word != ")":
+                raise fail(f"expected ')' after strategy, found {word!r}", i + 1)
             i += 2
         else:
-            j = _closing(text, tokens, i)
+            j = _closing(tokens, i)
+            if not tokens[j]:
+                raise fail("unbalanced parentheses", j)
             if name == "RULES":
-                rule_tokens, rules_end = tokens[i:j], tokens[j][2]
+                # Its closing parenthesis becomes the sentinel that ends the rules.
+                rules_at, tokens[j] = i, ""
             else:
-                raw = text[off + len(name) : tokens[j][2]]
+                raw = text[src.offset(i - 1) + len(name) : src.offset(j)]
                 if name == "COMMENT":
                     body = raw.strip()
                     comment = body if comment is None else f"{comment}\n{body}"
@@ -170,7 +204,7 @@ def parse(text: str, *, check_arity: bool = True) -> Problem:
                     preserved.append((name, raw))
             i = j + 1
 
-    strict, weak = _parse_rules(text, rule_tokens, rules_end, variables.keys(), check_arity)
+    strict, weak = _parse_rules(src, rules_at, variables.keys(), check_arity)
     return Problem(
         variables=tuple(variables),
         strict_rules=tuple(strict),
@@ -191,14 +225,14 @@ def parse_term(
     that ``arity`` gives them, if any (see `arities`); ``arity=None`` checks
     nothing.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise _error(text, "expected a term", len(text))
+    src = _Source(text)
+    last = len(src.tokens) - 2
+    if last < 0:
+        raise src.error("expected a term", 0)
     arity = None if arity is None else dict(arity)
-    t, i = _parse_term_tokens(text, tokens, 0, set(variables), arity, tokens[-1][2])
-    if i != len(tokens):
-        _, word, off = tokens[i]
-        raise _error(text, f"trailing input {word!r}", off)
+    t, i = _parse_term_tokens(src, 0, set(variables), arity, {}, last)
+    if src.tokens[i]:
+        raise src.error(f"trailing input {src.tokens[i]!r}", i)
     return t
 
 
@@ -216,92 +250,90 @@ def arities(p: Problem) -> dict:
 
 
 def _parse_rules(
-    text: str,
-    tokens: list,
-    end: int,
+    src: _Source,
+    i: int,
     variables: AbstractSet,
     check_arity: bool,
 ) -> tuple[list[Rule], list[Rule]]:
-    """Rules juxtaposed in ``tokens``; ``end`` is the offset of the closing ``)``."""
+    """Rules juxtaposed from token ``i`` up to the sentinel, which stands
+    for the closing ``)`` of ``RULES``."""
+    tokens = src.tokens
     arity: Optional[dict] = {} if check_arity else None
+    leaves: dict = {}
     strict: list[Rule] = []
     weak: list[Rule] = []
-    i = 0
-    while i < len(tokens):
-        lhs, i = _parse_term_tokens(text, tokens, i, variables, arity, end)
-        if i >= len(tokens):
-            raise _error(text, "missing arrow", end)
-        kind, arrow, off = tokens[i]
-        if kind != "arrow":
-            raise _error(text, f"expected '->' or '->=', found {arrow!r}", off)
-        i += 1
-        rhs, i = _parse_term_tokens(text, tokens, i, variables, arity, end)
+    while tokens[i]:
+        lhs, i = _parse_term_tokens(src, i, variables, arity, leaves, None)
+        arrow = tokens[i]
+        if arrow not in _ARROWS:
+            raise src.error(f"expected '->' or '->=', found {arrow!r}" if arrow else "missing arrow", i)
+        rhs, i = _parse_term_tokens(src, i + 1, variables, arity, leaves, None)
         (weak if arrow == "->=" else strict).append(Rule(lhs, rhs))
     return strict, weak
 
 
 def _parse_term_tokens(
-    text: str,
-    tokens: list,
+    src: _Source,
     i: int,
     variables: AbstractSet,
     arity: Optional[dict],
-    end: int,
+    leaves: dict,
+    end: Optional[int],
 ) -> tuple[Term, int]:
-    """The term starting at token ``i`` and the index after it; running out of
-    tokens is an error at offset ``end``."""
+    """The term starting at token ``i`` and the index after it.
 
-    def check(word: str, off: int, n: int) -> None:
-        if arity is None:
-            return
-        prev = arity.setdefault(word, n)
-        if prev != n:
-            raise _error(text, f"inconsistent arity for {word!r}: {n} here, {prev} before", off)
-
-    # Applications whose arguments are still being read: (symbol, offset, arguments).
+    ``leaves`` maps each variable and constant name read so far to its one
+    node.  Running into the sentinel is an error at token ``end``, or at
+    the sentinel itself if ``end`` is ``None``.
+    """
+    tokens = src.tokens
+    # Applications whose arguments are still being read: (symbol, token index, arguments).
     stack: list[tuple[str, int, list[Term]]] = []
     while True:
-        if i >= len(tokens):
+        word = tokens[i]
+        if word in _NOT_IDENT:
+            if word:
+                raise src.error(f"expected a term, found {word!r}", i)
             message = "unbalanced parentheses" if stack else "unexpected end of input"
-            raise _error(text, message, end)
-        kind, word, off = tokens[i]
-        if kind != "ident":
-            raise _error(text, f"expected a term, found {word!r}", off)
-        t: Term
-        if i + 1 < len(tokens) and tokens[i + 1][0] == "lparen":
+            raise src.error(message, i if end is None else end)
+        at = i
+        if tokens[i + 1] == "(":
             if word in variables:
-                raise _error(text, "variable applied to arguments", off)
-            if i + 2 < len(tokens) and tokens[i + 2][0] == "rparen":
-                check(word, off, 0)
-                t = Fun(word)
-                i += 3
-            else:
-                stack.append((word, off, []))
+                raise src.error("variable applied to arguments", i)
+            if tokens[i + 2] != ")":
+                stack.append((word, i, []))
                 i += 2
                 continue
-        elif word in variables:
-            t = Var(word)
-            i += 1
+            i += 3
         else:
-            check(word, off, 0)
-            t = Fun(word)
             i += 1
-        while True:
-            if not stack:
-                return t, i
+        t = leaves.get(word)
+        if t is None:
+            t = leaves[word] = Var(word) if word in variables else Fun(word)
+        if arity is not None and type(t) is Fun and arity.setdefault(word, 0):
+            raise _arity_error(src, arity, word, at, 0)
+        while stack:
             stack[-1][2].append(t)
-            if i >= len(tokens):
-                raise _error(text, "unbalanced parentheses", end)
-            kind, sep, off = tokens[i]
-            if kind == "comma":
+            sep = tokens[i]
+            if sep == ",":
                 i += 1
                 break
-            if kind != "rparen":
-                raise _error(text, f"expected ',' or ')', found {sep!r}", off)
-            sym, sym_off, args = stack.pop()
-            check(sym, sym_off, len(args))
+            if sep != ")":
+                if sep:
+                    raise src.error(f"expected ',' or ')', found {sep!r}", i)
+                raise src.error("unbalanced parentheses", i if end is None else end)
+            sym, at, args = stack.pop()
+            if arity is not None and arity.setdefault(sym, len(args)) != len(args):
+                raise _arity_error(src, arity, sym, at, len(args))
             t = Fun(sym, tuple(args))
             i += 1
+        else:
+            return t, i
+
+
+def _arity_error(src: _Source, arity: dict, symbol: str, at: int, n: int) -> ParseError:
+    """The error for ``symbol`` used at token ``at`` with ``n`` arguments."""
+    return src.error(f"inconsistent arity for {symbol!r}: {n} here, {arity[symbol]} before", at)
 
 
 def render(p: Problem) -> str:

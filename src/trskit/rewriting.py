@@ -106,9 +106,10 @@ def is_normal_form(rules: Sequence[Rule], t: Term) -> bool:
 def list_properties(rules: Sequence[Rule]) -> ListProperties:
     """TRS-level aggregates: linearity-style flags hold for every rule,
     duplicating/collapsing/erasing as soon as some rule has them."""
-    props = [_rule.properties(r) for r in rules]
+    checked = [_rule._validity_and_properties(r) for r in rules]
+    props = [p for _, p in checked]
     return ListProperties(
-        valid=all(_rule.is_valid(r) for r in rules),
+        valid=all(valid for valid, _ in checked),
         left_linear=all(p.left_linear for p in props),
         right_linear=all(p.right_linear for p in props),
         linear=all(p.linear for p in props),

@@ -73,11 +73,17 @@ def index_by_root(rules: Sequence[Rule]) -> dict:
 
 
 def properties(r: Rule) -> RuleProperties:
+    return _validity_and_properties(r)[1]
+
+
+def _validity_and_properties(r: Rule) -> tuple[bool, RuleProperties]:
+    """`is_valid` and `properties` of ``r``, from one walk of each side."""
     lhs_counts = Counter(_term.vars(r.lhs))
     rhs_counts = Counter(_term.vars(r.rhs))
+    valid = not isinstance(r.lhs, Var) and rhs_counts.keys() <= lhs_counts.keys()
     left_linear = all(n == 1 for n in lhs_counts.values())
     right_linear = all(n == 1 for n in rhs_counts.values())
-    return RuleProperties(
+    return valid, RuleProperties(
         left_linear=left_linear,
         right_linear=right_linear,
         linear=left_linear and right_linear,

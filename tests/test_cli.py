@@ -37,6 +37,16 @@ def test_parse_json(tmp_path, capsys):
     assert doc["variables"] == ["x"]
 
 
+def test_commands_are_looked_up_when_main_runs(tmp_path, capsys, monkeypatch):
+    # the argument parser is built once, and a command replaced after that
+    # still runs
+    path = write(tmp_path, "(VAR x)(RULES f(x) -> x)")
+    assert run(capsys, "parse", path) == (0, "(VAR x)\n(RULES\nf(x) -> x\n)\n", "")
+    monkeypatch.setattr(cli, "cmd_parse", lambda args: print(f"replaced {args.command}") or 7)
+    assert run(capsys, "parse", path) == (7, "replaced parse\n", "")
+    assert cli._arg_parser() is cli._arg_parser()
+
+
 def test_parse_error_reports_position(tmp_path, capsys):
     path = write(tmp_path, "(VAR x)(RULES x(a) -> a)")
     code, out, err = run(capsys, "parse", path)

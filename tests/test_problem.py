@@ -2,7 +2,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import termgen
+from reference_reader import reference_parse, reference_parse_term
 from trskit import problem, term
 from trskit.problem import ParseError, Problem
 from trskit.rewriting import Strategy
@@ -167,22 +170,177 @@ def test_exotic_identifiers():
 
 
 def test_tokenizer_law():
-    # tokens never contain whitespace or the special characters, the arrow
-    # tokens are exactly '->' and '->=', the tokens spell the input without
-    # its whitespace, and each offset points at its token's text
+    # tokens never contain whitespace or a special character unless they are
+    # one, a token is an arrow exactly when it is '->' or '->=', the tokens
+    # spell the input without its whitespace, and the offset helper points
+    # at each token's text, whatever order the offsets are asked in
     rng = random.Random(5)
     alphabet = "ab-(>=), \t\n\"x"
     for _ in range(300):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
-        tokens = problem._tokenize(text)
-        for kind, tok, off in tokens:
+        src = problem._Source(text)
+        *tokens, sentinel = src.tokens
+        assert sentinel == ""
+        for tok in tokens:
             assert tok
             assert not any(ch.isspace() for ch in tok)
             if len(tok) > 1:
                 assert not any(ch in '(),"' for ch in tok)
-            assert (kind == "arrow") == (tok in ("->", "->="))
-            assert text[off : off + len(tok)] == tok
-        assert "".join(tok for _, tok, _ in tokens) == "".join(text.split())
+            assert (tok in problem._ARROWS) == (tok in ("->", "->="))
+            if tok not in '(),"':
+                try:
+                    problem.parse(f"(RULES a {tok} b)")
+                except ParseError as err:
+                    assert err.message == f"expected '->' or '->=', found {tok!r}"
+                    assert tok not in ("->", "->=")
+                else:
+                    assert tok in ("->", "->=")
+        assert "".join(tokens) == "".join(text.split())
+        order = list(range(len(tokens)))
+        rng.shuffle(order)
+        for k in order:
+            off = src.offset(k)
+            assert text[off : off + len(tokens[k])] == tokens[k]
+        assert src.offset(len(tokens)) == len(text)
+
+
+class CountingPattern:
+    """Stands in for `problem._TOKEN` and counts its `finditer` passes."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.passes = 0
+
+    def findall(self, text):
+        return self.pattern.findall(text)
+
+    def finditer(self, text):
+        self.passes += 1
+        return self.pattern.finditer(text)
+
+
+def test_offsets_are_computed_on_demand(monkeypatch):
+    token = CountingPattern(problem._TOKEN)
+    monkeypatch.setattr(problem, "_TOKEN", token)
+    # no error and no preserved section: no offset at all
+    problem.parse("(VAR x y)\n(RULES\nf(x,y) -> f(y,x)\na ->= b\n)\n(STRATEGY FULL)\n")
+    problem.parse_term("f(x,a)", {"x"})
+    assert token.passes == 0
+    # several sections after RULES: one pass, resumed from section to section
+    p = problem.parse("(VAR x)(RULES f(x) -> x)(THEORY (AC f))(SIG (f 1))\n(COMMENT one)(COMMENT two)")
+    assert p.preserved_sections == (("THEORY", " (AC f)"), ("SIG", " (f 1)"))
+    assert p.comment == "one\ntwo"
+    assert token.passes == 1
+    # an error in RULES lies before a later section: the pass starts again
+    token.passes = 0
+    with pytest.raises(ParseError) as err:
+        problem.parse("(RULES f(x) -> x\nf(x,x) -> x)(COMMENT c)")
+    assert (err.value.line, err.value.col) == (2, 1)
+    assert token.passes == 2
+
+
+def test_one_node_per_leaf_name():
+    p = problem.parse("(VAR x)(RULES f(x,a) -> g(x,a())\nh(x) -> a)")
+    (r1, r2) = p.strict_rules
+    assert r1.lhs.args[0] is r1.rhs.args[0]
+    assert r1.lhs.args[1] is r1.rhs.args[1] is r2.rhs
+    t = problem.parse_term("f(x,f(x,a),a)", {"x"}, arity=None)
+    assert t.args[0] is t.args[1].args[0] and t.args[2] is t.args[1].args[1]
+    # a shared name is still checked against every other use of its symbol
+    with pytest.raises(ParseError, match="inconsistent arity for 'a': 0 here, 1 before"):
+        problem.parse("(RULES a(b) -> b f(a) -> a)")
+    with pytest.raises(ParseError, match="inconsistent arity for 'a': 1 here, 0 before"):
+        problem.parse("(RULES f(a) -> a f(a(b)) -> b)")
+
+
+def outcome(read, *args, **kwargs):
+    """``repr`` of what ``read`` returns, or its error's message and position."""
+    try:
+        return repr(read(*args, **kwargs))
+    except ParseError as err:
+        return (err.message, err.line, err.col)
+
+
+def assert_replays_the_reference(text):
+    for check_arity in (True, False):
+        got = outcome(problem.parse, text, check_arity=check_arity)
+        assert got == outcome(reference_parse, text, check_arity=check_arity), text
+    for variables, arity in (({"x"}, {}), (set(), None), ({"x", "y"}, {"f": 1, "a": 0})):
+        got = outcome(problem.parse_term, text, variables, arity=arity)
+        assert got == outcome(reference_parse_term, text, variables, arity=arity), text
+
+
+SOUP = ["(", ")", ",", '"', "VAR", "RULES", "->", "->=", "f", "x", "a", "()", " ", "\n", "\t", "\xa0",
+        "COMMENT", "STRATEGY", "FULL", "THEORY", "f(x)", "f(x,a)"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SOUP), max_size=30))
+def test_reader_replays_the_reference_on_token_soups(pieces):
+    assert_replays_the_reference("".join(pieces))
+
+
+def test_reader_replays_the_reference_on_random_soups():
+    rng = random.Random(17)
+    for _ in range(3000):
+        assert_replays_the_reference("".join(rng.choice(SOUP) for _ in range(rng.randint(0, 40))))
+
+
+def generated_file(rng):
+    """A problem text that uses every section kind in random order, with
+    strict and weak rules of random terms."""
+    rules = [termgen.random_valid_rule(rng, 3) for _ in range(rng.randint(1, 6))]
+    arrows = [rng.choice(("->", "->=")) for _ in rules]
+    body = "\n".join(f"{term.render(r.lhs)} {arrow} {term.render(r.rhs)}" for r, arrow in zip(rules, arrows))
+    sections = [
+        "(VAR x y z)",
+        f"(RULES\n{body}\n)",
+        f"(STRATEGY {rng.choice(('FULL', 'INNERMOST', 'OUTERMOST'))})",
+        "(THEORY (AC f)\n(C g))",
+        "(COMMENT generated (with\tnested) parens\n over lines)",
+        "(SIG (f 2) (g 1))",
+    ]
+    rng.shuffle(sections)
+    return rng.choice(("\n", " ", "", "\r\n", "\t")).join(sections)
+
+
+def spoiled(rng, text):
+    """``text`` with one token dropped, doubled or replaced, or one arity changed."""
+    tokens = problem._TOKEN.findall(text)
+    spans = [m.span(1) for m in problem._TOKEN.finditer(text)]
+    k = rng.randrange(len(tokens))
+    start, end = spans[k]
+    kind = rng.randrange(4)
+    if kind == 0:
+        return text[:start] + text[end:]
+    if kind == 1:
+        return text[:end] + " " + tokens[k] + text[end:]
+    if kind == 2:
+        return text[:start] + rng.choice(SOUP) + text[end:]
+    return text.replace("g(", "g(a,", 1) if rng.random() < 0.5 else text.replace("a", "a()", 1)
+
+
+RULE_ERRORS = ("missing arrow", "expected '->'", "expected a term", "expected ','", "unexpected end",
+               "inconsistent arity", "variable applied")
+
+
+def test_reader_replays_the_reference_on_generated_files():
+    rng = random.Random(23)
+    late_rule_errors = 0
+    for _ in range(1500):
+        text = generated_file(rng)
+        assert not isinstance(outcome(problem.parse, text), tuple), text
+        assert_replays_the_reference(text)
+        bad = spoiled(rng, text)
+        assert_replays_the_reference(bad)
+        got = outcome(problem.parse, bad)
+        if isinstance(got, tuple) and got[0].startswith(RULE_ERRORS):
+            rules_at = bad.find("(RULES")
+            later = ("(THEORY", "(COMMENT", "(SIG")
+            late_rule_errors += any(bad.find(key, rules_at) > 0 for key in later)
+    # errors inside RULES that are reported after reading a preserved
+    # section that follows RULES
+    assert late_rule_errors > 100
 
 
 def test_fuzz_totality_smoke():
@@ -283,3 +441,4 @@ def test_every_prefix_and_suffix_of_the_corpus_parses_or_fails_cleanly():
                         problem.parse(text, check_arity=check_arity)
                     except ParseError:
                         pass
+                assert_replays_the_reference(text)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from termgen import random_term, random_valid_rule, term_strategy
-from trskit import rewriting, substitution, term
+from trskit import rewriting, rule, substitution, term
 from trskit.rewriting import Strategy
 from trskit.rule import InvalidRuleError, Rule
 from trskit.term import Fun, Var
@@ -78,6 +78,32 @@ def test_list_properties_examples():
     p = rewriting.list_properties([Rule(f(x), x), Rule(g(x), a)])
     assert p.left_linear and p.collapsing and p.erasing and p.valid
     assert not rewriting.list_properties([Rule(f(x, x), x)]).linear
+
+
+def test_list_properties_agrees_with_the_per_rule_definitions():
+    # valid rules, and rules with a variable left side or fresh right-side
+    # variables
+    rng = random.Random(13)
+    invalid = 0
+    for _ in range(500):
+        rules = [
+            random_valid_rule(rng) if rng.random() < 0.8 else Rule(random_term(rng, 2), random_term(rng, 2))
+            for _ in range(rng.randint(0, 4))
+        ]
+        props = [rule.properties(r) for r in rules]
+        want = rewriting.ListProperties(
+            valid=all(rule.is_valid(r) for r in rules),
+            left_linear=all(p.left_linear for p in props),
+            right_linear=all(p.right_linear for p in props),
+            linear=all(p.linear for p in props),
+            duplicating=any(p.duplicating for p in props),
+            collapsing=any(p.collapsing for p in props),
+            erasing=any(p.erasing for p in props),
+            ground=all(p.ground for p in props),
+        )
+        assert rewriting.list_properties(rules) == want, rules
+        invalid += not want.valid
+    assert 50 < invalid < 450
 
 
 def test_reduct_invariants_random():
