@@ -8,6 +8,12 @@ for input or usage errors (told apart by the stderr message and by the
 Commands run on the calling thread at the interpreter's recursion limit:
 the library's traversals keep their own stacks, and so does the writer of
 ``--json`` documents, so terms thousands of levels deep need nothing more.
+
+A ``--json`` document is the public ``to_json`` document of the result
+(`problem.to_json` and the like) with its terms left as `Term` objects;
+the writer turns each term straight into the text that ``json.dumps(...,
+indent=2)`` gives its `term.to_json` document, without building its
+dicts, and hands the text over in pieces.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from . import analysis, criticalpairs, problem, rewriting, term
 from .criticalpairs import Scope
 from .rewriting import Strategy
 from .rule import InvalidRuleError
+from .term import Fun, Var
 
 _STRATEGY_FLAGS = {
     "full": Strategy.FULL,
@@ -54,29 +61,63 @@ def _emit_json(obj) -> None:
     print()
 
 
-# Pieces of text gathered before one call of ``write``.
-_BATCH = 4096
+# ``write`` is called once about this much text is gathered since its last
+# call, counting punctuation in full and each value by its indentation.
+_BATCH = 1 << 16
 
 
 def _write_json(obj, write) -> None:
     """Write the text of ``json.dumps(obj, indent=2)`` through ``write``, for
-    dicts with string keys, lists, strings, ints, bools and ``None``.
+    dicts with string keys, lists, strings, ints, bools and ``None``; a
+    `Term` is written as the text of its `term.to_json` document.
 
     The writer keeps its own stack, so documents of any depth need no
     recursion, and hands the text over in batches, so the whole document
-    is never held as one string.
+    is never held as one string.  An application's text is one f-string
+    around its arguments.  The text of a variable or constant is kept for
+    each node and indentation, since a parsed problem shares one node per
+    leaf name.
     """
     out: list[str] = []
+    leaves: dict = {}  # (id(leaf), len(nl)) -> its text at that indentation
+    pending = 0  # punctuation and indentation of values gathered since the last write
     # Values still to write, each with the newline and indentation of its
     # line, and the punctuation between them as plain strings.
     stack: list = [(obj, "\n")]
     while stack:
+        if pending > _BATCH:
+            write("".join(out))
+            out.clear()
+            pending = 0
         item = stack.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             out.append(item)
+            pending += len(item)
             continue
         o, nl = item
-        if isinstance(o, str):
+        kind = type(o)
+        if kind is Fun and o.args:
+            inner = nl + "    "
+            out.append(f'{{{nl}  "fun": {encode_basestring_ascii(str(o.symbol))},{nl}  "args": [{inner}')
+            stack.append(f"{nl}  ]{nl}}}")
+            args = o.args
+            if len(args) > 1:
+                sep = "," + inner
+                for k in range(len(args) - 1, 0, -1):
+                    stack.append((args[k], inner))
+                    stack.append(sep)
+            stack.append((args[0], inner))
+        elif kind is Fun or kind is Var:
+            key = (id(o), len(nl))
+            text = leaves.get(key)
+            if text is None:
+                if kind is Var:
+                    text = f'{{{nl}  "var": {encode_basestring_ascii(str(o.name))}{nl}}}'
+                else:
+                    text = f'{{{nl}  "fun": {encode_basestring_ascii(str(o.symbol))},{nl}  "args": []{nl}}}'
+                leaves[key] = text
+            out.append(text)
+        elif isinstance(o, str):
             out.append(encode_basestring_ascii(o))
         elif o is None:
             out.append("null")
@@ -87,9 +128,6 @@ def _write_json(obj, write) -> None:
         elif isinstance(o, int):
             out.append(int.__repr__(o))
         elif isinstance(o, (dict, list)):
-            if len(out) > _BATCH:
-                write("".join(out))
-                out.clear()
             is_dict = isinstance(o, dict)
             if not o:
                 out.append("{}" if is_dict else "[]")
@@ -111,7 +149,13 @@ def _write_json(obj, write) -> None:
                     stack.append(",")
         else:
             raise TypeError(f"cannot write {type(o).__name__} as JSON")
+        pending += len(nl)
     write("".join(out))
+
+
+def _as_is(t: term.Term) -> term.Term:
+    """A term left in a document as itself, for `_write_json` to write."""
+    return t
 
 
 def _load(args) -> problem.Problem:
@@ -131,7 +175,7 @@ def _warn_weak(p: problem.Problem) -> None:
 def cmd_parse(args) -> int:
     p = _load(args)
     if args.json:
-        _emit_json(problem.to_json(p))
+        _emit_json(problem.to_json(p, term=_as_is))
     else:
         print(problem.render(p), end="")
     return 0
@@ -168,7 +212,7 @@ def cmd_cps(args) -> int:
     _warn_weak(p)
     pairs = criticalpairs.critical_pairs(p.strict_rules, _SCOPE_FLAGS[args.scope])
     if args.json:
-        _emit_json({"criticalPairs": [criticalpairs.to_json(cp) for cp in pairs], "count": len(pairs)})
+        _emit_json({"criticalPairs": [criticalpairs.to_json(cp, term=_as_is) for cp in pairs], "count": len(pairs)})
     else:
         for cp in pairs:
             print(criticalpairs.render(cp))
@@ -190,7 +234,7 @@ def cmd_rewrite(args) -> int:
     subject = _subject(args, p)
     reducts = rewriting.step(p.strict_rules, subject, _STRATEGY_FLAGS[args.strategy])
     if args.json:
-        _emit_json({"reducts": [rewriting.to_json(r) for r in reducts], "count": len(reducts)})
+        _emit_json({"reducts": [rewriting.to_json(r, term=_as_is) for r in reducts], "count": len(reducts)})
     else:
         for r in reducts:
             print(rewriting.render(r))
@@ -205,7 +249,7 @@ def cmd_normalize(args) -> int:
     result = analysis.nf(p.strict_rules, subject, args.max_steps)
     status = "NORMAL FORM" if result.reached_normal_form else "STEP LIMIT"
     if args.json:
-        _emit_json({"term": term.to_json(result.term), "steps": result.steps, "status": status})
+        _emit_json({"term": result.term, "steps": result.steps, "status": status})
     else:
         print(term.render(result.term))
         print(f"steps: {result.steps}")
@@ -231,9 +275,9 @@ def cmd_check_lc(args) -> int:
             _emit_json(
                 {
                     "status": "NO",
-                    "witness": criticalpairs.to_json(w),
-                    "nfLeft": term.to_json(nf_left),
-                    "nfRight": term.to_json(nf_right),
+                    "witness": criticalpairs.to_json(w, term=_as_is),
+                    "nfLeft": nf_left,
+                    "nfRight": nf_right,
                 }
             )
         else:

@@ -117,14 +117,15 @@ def render(cp: CriticalPair) -> str:
     )
 
 
-def to_json(cp: CriticalPair) -> dict:
+def to_json(cp: CriticalPair, *, term=_term.to_json) -> dict:
+    """The JSON document of ``cp``; ``term`` gives the value of each term."""
     top, left, right = canonical_terms(cp)
     return {
-        "top": _term.to_json(top),
-        "left": _term.to_json(left),
-        "right": _term.to_json(right),
-        "leftRule": _rule.to_json(cp.left_rule),
-        "rightRule": _rule.to_json(cp.right_rule),
+        "top": term(top),
+        "left": term(left),
+        "right": term(right),
+        "leftRule": _rule.to_json(cp.left_rule, term=term),
+        "rightRule": _rule.to_json(cp.right_rule, term=term),
         "leftPos": list(cp.left_pos),
         "leftRuleIndex": cp.left_rule_index,
         "rightRuleIndex": cp.right_rule_index,

@@ -32,7 +32,9 @@ character.
 
 The reader works on the tokens as plain strings from one regex pass.  The
 offset of a token in the text is computed only when an error or the raw
-text of a preserved section needs it.  One parse builds one node per
+text of a preserved section needs it, by matching tokens from whichever
+end of the text is nearer, so a section after a long ``RULES`` costs the
+tokens after it, not those before it.  One parse builds one node per
 variable or constant name and shares it among the occurrences of that name
 (`trskit.term` allows shared subterms); arities are still checked at every
 occurrence.
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
@@ -97,26 +99,44 @@ class _Source:
     their offsets in ``text``, found only when asked for.
 
     No token is ``""``, so reading one or two tokens ahead of any token but
-    the sentinel needs no bounds check.  Offsets come from one `finditer`
-    pass that resumes where the last request left it, and starts again
-    only when an earlier token is asked for.
+    the sentinel needs no bounds check.  A token's offset is counted from
+    whichever end of the text is nearer.  Tokens are set by character
+    classes alone, so the reversed text has the same tokens, reversed and
+    in reverse order, and its `finditer` reaches the last tokens first.
+    Each direction has one `finditer` pass, which resumes where the last
+    request left it and keeps the offsets it has passed, so no match is
+    pulled twice.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.tokens: list[str] = _TOKEN.findall(text)
+        self._count = len(self.tokens)
         self.tokens.append("")
-        self._matches: Optional[Iterator[re.Match]] = None
-        self._next = 0  # index of the token that ``_matches`` yields next
+        # Offsets of the first tokens, and (in the reversed text) ends of
+        # the last tokens, with the passes that find more.
+        self._head: list[int] = []
+        self._tail: list[int] = []
+        self._ahead: Optional[Iterator[re.Match]] = None
+        self._behind: Optional[Iterator[re.Match]] = None
 
     def offset(self, i: int) -> int:
         """Offset of the ``i``-th token of the text; ``len(text)`` if there
         are not that many."""
-        if self._matches is None or i < self._next:
-            self._matches, self._next = _TOKEN.finditer(self.text), 0
-        m = next(islice(self._matches, i - self._next, None), None)
-        self._next = i + 1
-        return len(self.text) if m is None else m.start(1)
+        k = self._count - 1 - i  # the same token, counted from the end
+        if k < 0:
+            return len(self.text)
+        if i <= k:
+            if len(self._head) <= i:
+                if self._ahead is None:
+                    self._ahead = _TOKEN.finditer(self.text)
+                self._head += map(re.Match.start, islice(self._ahead, i + 1 - len(self._head)), repeat(1))
+            return self._head[i]
+        if len(self._tail) <= k:
+            if self._behind is None:
+                self._behind = _TOKEN.finditer(self.text[::-1])
+            self._tail += map(re.Match.end, islice(self._behind, k + 1 - len(self._tail)), repeat(1))
+        return len(self.text) - self._tail[k]
 
     def error(self, message: str, i: int) -> ParseError:
         """A `ParseError` at token ``i``."""
@@ -358,11 +378,12 @@ def render(p: Problem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(p: Problem) -> dict:
+def to_json(p: Problem, *, term=_term.to_json) -> dict:
+    """The JSON document of ``p``; ``term`` gives the value of each rule side."""
     return {
         "variables": [str(v) for v in p.variables],
-        "strictRules": [_rule.to_json(r) for r in p.strict_rules],
-        "weakRules": [_rule.to_json(r) for r in p.weak_rules],
+        "strictRules": [_rule.to_json(r, term=term) for r in p.strict_rules],
+        "weakRules": [_rule.to_json(r, term=term) for r in p.weak_rules],
         "strategy": p.strategy.name if p.strategy is not None else None,
         "comment": p.comment,
         "preservedSections": [{"key": k, "body": b} for k, b in p.preserved_sections],

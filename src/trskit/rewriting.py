@@ -127,10 +127,11 @@ def render(r: Reduct) -> str:
     )
 
 
-def to_json(r: Reduct) -> dict:
+def to_json(r: Reduct, *, term=_term.to_json) -> dict:
+    """The JSON document of ``r``; ``term`` gives the value of each term."""
     return {
-        "result": _term.to_json(r.result),
+        "result": term(r.result),
         "pos": list(r.pos),
         "ruleIndex": r.rule_index,
-        "subst": substitution.to_json(r.subst),
+        "subst": substitution.to_json(r.subst, term=term),
     }

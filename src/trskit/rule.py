@@ -125,5 +125,6 @@ def render(r: Rule) -> str:
     return f"{_term.render(r.lhs)} -> {_term.render(r.rhs)}"
 
 
-def to_json(r: Rule) -> dict:
-    return {"lhs": _term.to_json(r.lhs), "rhs": _term.to_json(r.rhs)}
+def to_json(r: Rule, *, term=_term.to_json) -> dict:
+    """The JSON document of ``r``; ``term`` gives the value of each side."""
+    return {"lhs": term(r.lhs), "rhs": term(r.rhs)}

@@ -197,5 +197,6 @@ def render(sigma: Mapping) -> str:
     return "{" + body + "}"
 
 
-def to_json(sigma: Mapping) -> dict:
-    return {str(v): _term.to_json(t) for v, t in sorted(sigma.items(), key=lambda kv: str(kv[0]))}
+def to_json(sigma: Mapping, *, term=_term.to_json) -> dict:
+    """The JSON document of ``sigma``; ``term`` gives the value of each image."""
+    return {str(v): term(t) for v, t in sorted(sigma.items(), key=lambda kv: str(kv[0]))}

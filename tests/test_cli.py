@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -5,7 +6,12 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from trskit import cli
+import termgen
+from trskit import analysis, cli, criticalpairs, problem, rewriting, term
+from trskit.problem import Problem
+from trskit.rewriting import Strategy
+from trskit.rule import Rule
+from trskit.term import Fun, Var
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -316,6 +322,121 @@ def test_json_writer_matches_json_dumps(obj):
     buf = io.StringIO()
     cli._write_json(obj, buf.write)
     assert buf.getvalue() == json.dumps(obj, indent=2)
+
+
+def written(obj):
+    """The text `cli._write_json` writes for ``obj``, and its number of
+    ``write`` calls."""
+    pieces: list = []
+    cli._write_json(obj, pieces.append)
+    return "".join(pieces), len(pieces)
+
+
+# Names of every kind the reader can give, and some it cannot: latin-1,
+# other non-ASCII, quotes, backslashes and control characters.
+names = st.text(st.sampled_from('ab0_-\\"\x00\x1f\x7f\x85\xa0\xa7\xe9\xff€\u2028😀'), min_size=1, max_size=4)
+
+
+@st.composite
+def renamed_rules(draw):
+    """Valid rules over ``f/2, g/1, a, b`` and ``x, y, z``, with every symbol
+    and variable renamed (one to one) to a drawn name."""
+    rng = draw(st.randoms(use_true_random=False))
+    rules = [termgen.random_valid_rule(rng, 3) for _ in range(rng.randint(1, 4))]
+    drawn = draw(st.lists(names, min_size=7, max_size=7, unique=True))
+    funs, variables = dict(zip("fgab", drawn)), dict(zip("xyz", drawn[4:]))
+    return [
+        Rule(*(term.map_symbols(t, variables.__getitem__, funs.__getitem__) for t in (r.lhs, r.rhs)))
+        for r in rules
+    ]
+
+
+def documents(rules, subject, term_json):
+    """The document of each command, as `cli` lays it out, with each term
+    given by ``term_json``."""
+    pairs = criticalpairs.critical_pairs(rules)
+    reducts = rewriting.step(rules, subject, Strategy.FULL)
+    p = Problem(
+        variables=tuple(dict.fromkeys(v for r in rules for v in term.vars(r.lhs))),
+        strict_rules=rules[1:],
+        weak_rules=rules[:1],
+        strategy=Strategy.INNERMOST,
+        comment='a "comment"\\',
+        preserved_sections=(("THEORY", " (AC \xe9)"),),
+        has_theory=True,
+    )
+    docs = [
+        problem.to_json(p, term=term_json),
+        {"criticalPairs": [criticalpairs.to_json(cp, term=term_json) for cp in pairs], "count": len(pairs)},
+        {"reducts": [rewriting.to_json(r, term=term_json) for r in reducts], "count": len(reducts)},
+        {"term": term_json(subject), "steps": 3, "status": "NORMAL FORM"},
+    ]
+    if pairs:
+        w = pairs[0]
+        docs.append({"status": "NO", "witness": criticalpairs.to_json(w, term=term_json),
+                     "nfLeft": term_json(w.left), "nfRight": term_json(w.right)})
+    return docs
+
+
+@settings(max_examples=300, deadline=None)
+@given(renamed_rules(), st.data())
+def test_terms_are_written_as_their_json_documents(rules, data):
+    subject = data.draw(st.sampled_from([r.lhs for r in rules] + [r.rhs for r in rules]))
+    for doc, public in zip(documents(rules, subject, cli._as_is),
+                           documents(rules, subject, term.to_json), strict=True):
+        assert written(doc)[0] == json.dumps(public, indent=2)
+
+
+def test_shared_subterms_are_written_unfolded():
+    # the normal form of f(x) -> f(p(x,x)) at 12 steps shares each p node
+    # between both argument positions of its parent
+    rules = [Rule(Fun("f", (Var("x"),)), Fun("f", (Fun("p", (Var("x"), Var("x"))),)))]
+    result = analysis.nf(rules, Fun("f", (Fun("a"),)), 12)
+    assert result.steps == 12 and not result.reached_normal_form
+    assert term.size(result.term) == 2 ** 13
+    text, _ = written({"term": result.term, "steps": result.steps, "status": "STEP LIMIT"})
+    assert text == json.dumps({"term": term.to_json(result.term), "steps": 12, "status": "STEP LIMIT"}, indent=2)
+    # one leaf node written at many depths
+    x = Var("x\xe9")
+    t = Fun("h", (x, Fun("h", (x, Fun("h", (x, x)))), x))
+    assert written([t, t, {"k": t}])[0] == json.dumps([term.to_json(t)] * 2 + [{"k": term.to_json(t)}], indent=2)
+
+
+class Digest:
+    """A ``write`` that keeps a hash, the length, the number of calls and the
+    longest piece."""
+
+    def __init__(self):
+        self.hash, self.length, self.calls, self.longest = hashlib.sha256(), 0, 0, 0
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        self.length += len(text)
+        self.calls += 1
+        self.longest = max(self.longest, len(text))
+
+
+def test_deep_term_is_written_as_its_json_document(default_recursion_limit):
+    # json.dumps cannot take this term's document at the default recursion
+    # limit, so compare with the writer's own generic path
+    deep = problem.parse_term(DEEP_NUMERAL, set())
+    as_term, as_dicts = Digest(), Digest()
+    cli._write_json({"term": deep, "steps": 1, "status": "NORMAL FORM"}, as_term.write)
+    cli._write_json({"term": term.to_json(deep), "steps": 1, "status": "NORMAL FORM"}, as_dicts.write)
+    assert as_term.hash.digest() == as_dicts.hash.digest()
+    # the document of `normalize --json` on DEEP_PLUS, without its last newline
+    assert as_term.length == as_dicts.length == 90150092 - 1
+    # the document arrives in pieces of less than a megabyte
+    assert as_term.calls > 100 and as_dicts.calls > 100
+    assert as_term.longest < 1 << 20 and as_dicts.longest < 1 << 20
+
+
+def test_big_documents_arrive_in_several_writes():
+    rules = [Rule(Fun(f"f{k}", (Var("x"), Fun("a"))), Fun("g", (Var("x"),))) for k in range(2000)]
+    doc = problem.to_json(Problem(variables=("x",), strict_rules=tuple(rules)), term=cli._as_is)
+    text, calls = written(doc)
+    assert calls > 1
+    assert text == json.dumps(problem.to_json(Problem(variables=("x",), strict_rules=tuple(rules))), indent=2)
 
 
 CORPUS_TEXTS = {path.name: path.read_text("latin-1") for path in sorted(CORPUS.glob("*.trs"))}

@@ -205,18 +205,28 @@ def test_tokenizer_law():
 
 
 class CountingPattern:
-    """Stands in for `problem._TOKEN` and counts its `finditer` passes."""
+    """Stands in for `problem._TOKEN` and counts its `finditer` passes and
+    the matches they yield."""
 
     def __init__(self, pattern):
         self.pattern = pattern
         self.passes = 0
+        self.matches = 0
 
     def findall(self, text):
         return self.pattern.findall(text)
 
     def finditer(self, text):
         self.passes += 1
-        return self.pattern.finditer(text)
+        for m in self.pattern.finditer(text):
+            self.matches += 1
+            yield m
+
+
+def big_problem_text(n_rules, rule=lambda k: f"f(x,g{k}(y)) -> g{k}(x)"):
+    """A file of ``n_rules`` rules with sections before and after RULES."""
+    rules = "\n".join(rule(k) for k in range(n_rules))
+    return f"(VAR x y)\n(RULES\n{rules}\n)\n(STRATEGY FULL)(THEORY (AC f))\n(SIGNATURE f/2 g/1)\n(COMMENT big)\n"
 
 
 def test_offsets_are_computed_on_demand(monkeypatch):
@@ -225,18 +235,97 @@ def test_offsets_are_computed_on_demand(monkeypatch):
     # no error and no preserved section: no offset at all
     problem.parse("(VAR x y)\n(RULES\nf(x,y) -> f(y,x)\na ->= b\n)\n(STRATEGY FULL)\n")
     problem.parse_term("f(x,a)", {"x"})
+    problem.parse(big_problem_text(2000).split("(THEORY")[0])
     assert token.passes == 0
-    # several sections after RULES: one pass, resumed from section to section
-    p = problem.parse("(VAR x)(RULES f(x) -> x)(THEORY (AC f))(SIG (f 1))\n(COMMENT one)(COMMENT two)")
-    assert p.preserved_sections == (("THEORY", " (AC f)"), ("SIG", " (f 1)"))
-    assert p.comment == "one\ntwo"
+    # sections after 2000 rules are read from the end of the text: they pull
+    # about as many matches as there are tokens after RULES, not 30 000
+    text = big_problem_text(2000)
+    after_rules = len(problem._TOKEN.findall(text[text.index("\n)\n") + 2 :]))
+    p = problem.parse(text)
+    assert p.preserved_sections == (("THEORY", " (AC f)"), ("SIGNATURE", " f/2 g/1"))
+    assert p.comment == "big"
     assert token.passes == 1
-    # an error in RULES lies before a later section: the pass starts again
-    token.passes = 0
-    with pytest.raises(ParseError) as err:
-        problem.parse("(RULES f(x) -> x\nf(x,x) -> x)(COMMENT c)")
-    assert (err.value.line, err.value.col) == (2, 1)
-    assert token.passes == 2
+    assert token.matches <= after_rules + 2
+    # an error in the first rule is found from the start, and one in the
+    # last rule, after the sections were read, from the end again
+    for k, message, line, passes in ((0, "2 here, 1 before", 4, 2), (1999, "1 here, 2 before", 2002, 1)):
+        token.passes = token.matches = 0
+        bad = big_problem_text(2000, lambda i: f"f(x,g{i}(y)) -> g{i}(x)" if i != k else "f(x) -> x")
+        with pytest.raises(ParseError) as err:
+            problem.parse(bad)
+        assert (err.value.message, err.value.line, err.value.col) == (f"inconsistent arity for 'f': {message}", line, 1)
+        assert token.passes == passes
+        assert token.matches <= after_rules + 20
+
+
+def offsets_replay(text):
+    """Ask `_Source.offset` for every token of ``text``, and for the end, in
+    ascending, descending and shuffled order, each on a fresh source, and
+    compare with a plain forward `finditer`."""
+    want = [m.start(1) for m in problem._TOKEN.finditer(text)] + [len(text)]
+    order = list(range(len(want)))
+    shuffled = order[:]
+    random.Random(text).shuffle(shuffled)
+    for asked in (order, order[::-1], shuffled):
+        src = problem._Source(text)
+        assert [src.offset(i) for i in asked] == [want[i] for i in asked], (text, asked)
+
+
+OFFSET_SOUP = ["(", ")", ",", '"', "->", "f", "ab", "x", " ", "\n", "\t", "\r", "\r\n", "\xa0", "\x85",
+               "\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x0c", "é", "a\xa0b", "RULES"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(OFFSET_SOUP), max_size=40))
+def test_offsets_replay_a_forward_pass(pieces):
+    offsets_replay("".join(pieces))
+
+
+def test_offsets_replay_a_forward_pass_on_seeded_soups():
+    rng = random.Random(31)
+    for _ in range(2000):
+        text = "".join(rng.choice(OFFSET_SOUP) for _ in range(rng.randint(0, 60)))
+        offsets_replay(text)
+        # with and without whitespace at either end
+        offsets_replay(text.strip())
+    for path in sorted(CORPUS.glob("*.trs")):
+        offsets_replay(path.read_text(encoding="latin-1"))
+    offsets_replay("")
+    offsets_replay(" \n\xa0")
+
+
+def test_rule_errors_reported_after_a_later_section():
+    # the offsets of the later sections are found first, from the end; the
+    # error inside RULES is then found from whichever end is nearer
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(600):
+        rules = [termgen.random_valid_rule(rng, 3) for _ in range(rng.randint(1, 8))]
+        body = "\n".join(f"{term.render(r.lhs)} -> {term.render(r.rhs)}" for r in rules)
+        tail = ["(THEORY (AC f))", "(COMMENT a\xa0comment\n)", "(SIG (f 2))", "(STRATEGY FULL)"]
+        rng.shuffle(tail)
+        sep = rng.choice(("\n", " ", "", "\r\n", "\t", "\x85"))
+        text = sep.join(["(VAR x y z)", f"(RULES\n{body}\n)", *tail[: rng.randint(1, 4)]])
+        bad = spoiled_rules(rng, text)
+        got = outcome(problem.parse, bad)
+        assert got == outcome(reference_parse, bad), bad
+        if isinstance(got, tuple) and got[0].startswith(RULE_ERRORS):
+            checked += 1
+    assert checked > 300
+
+
+def spoiled_rules(rng, text):
+    """``text`` with one token inside RULES dropped, doubled or replaced."""
+    tokens = problem._TOKEN.findall(text)
+    spans = [m.span(1) for m in problem._TOKEN.finditer(text)]
+    first = tokens.index("RULES") + 1
+    start, end = spans[rng.randrange(first, problem._closing(tokens, first))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:start] + text[end:]
+    if kind == 1:
+        return text[:end] + " " + text[start:end] + text[end:]
+    return text[:start] + rng.choice(("(", ")", ",", "->", "a", "x(", "f(a)")) + text[end:]
 
 
 def test_one_node_per_leaf_name():
