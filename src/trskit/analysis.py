@@ -24,6 +24,7 @@ termination itself is not checked here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,6 +76,7 @@ def nf(rules: Sequence[Rule], t: Term, max_steps: int) -> NormalizationResult:
 
 def _nf(by_root: dict, t: Term, max_steps: int) -> NormalizationResult:
     """`nf` under valid rules indexed by `rule.index_by_root`."""
+    candidates, match = by_root.get, substitution.match
     steps = 0
     # A frame is an application whose arguments are being normalized: its
     # pattern, the substitution the pattern stands under (None for a subterm
@@ -99,8 +101,8 @@ def _nf(by_root: dict, t: Term, max_steps: int) -> NormalizationResult:
         while True:
             if candidate:
                 theta = None
-                for _, r in by_root.get(value.symbol, ()):
-                    theta = substitution.match(r.lhs, value)
+                for _, r in candidates(value.symbol, ()):
+                    theta = match(r.lhs, value)
                     if theta is not None:
                         break
                 if theta is not None:
@@ -117,7 +119,7 @@ def _nf(by_root: dict, t: Term, max_steps: int) -> NormalizationResult:
                 pattern, sigma = parent.args[len(done)], parent_sigma
                 break
             stack.pop()
-            if parent_sigma is None and all(a is b for a, b in zip(done, parent.args)):
+            if parent_sigma is None and all(map(operator.is_, done, parent.args)):
                 value = parent
             else:
                 value = Fun(parent.symbol, tuple(done))

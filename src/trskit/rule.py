@@ -39,15 +39,40 @@ class RuleProperties:
     ground: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TaggedVar:
-    """A variable pushed into a two-sided namespace by `tag` and `rename_apart`."""
+    """A variable pushed into a two-sided namespace by `tag` and `rename_apart`.
 
+    A frozen dataclass with ``__slots__``, built as `term.Var` is.  It is
+    hashed whenever a substitution over renamed rules is read, so
+    ``__init__`` also stores its hash, ``hash((side, base))`` as the
+    dataclass computes it, in the ``_hash`` slot, which is not a field.
+    Pickling and copying call the constructor, which hashes again: a string
+    hash holds only in the process that computed it.
+    """
+
+    __slots__ = ("side", "base", "_hash")
     side: str
     base: Any
 
+    def __init__(self, side: str, base: Any) -> None:
+        _set_side(self, side)
+        _set_base(self, base)
+        _set_hash(self, hash((side, base)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.side, self.base)
+
     def __str__(self) -> str:
         return f"{self.base}@{self.side}"
+
+
+_set_side = TaggedVar.side.__set__
+_set_base = TaggedVar.base.__set__
+_set_hash = TaggedVar._hash.__set__
 
 
 def is_valid(r: Rule) -> bool:

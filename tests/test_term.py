@@ -3,8 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_terms import from_reference, to_reference
 from termgen import dag, term_strategy
 from trskit import position, substitution, term
+from trskit.rule import TaggedVar
 from trskit.term import Fun, InvalidPositionError, Var
 
 x, y = Var("x"), Var("y")
@@ -209,6 +211,50 @@ def test_repr_is_the_dataclass_format():
         "Var(name=TaggedVar(side='L', base='y')))),))"
     )
     assert repr(Fun(3, (Var(("p", 1)),))) == "Fun(symbol=3, args=(Var(name=('p', 1)),))"
+
+
+# Leaves whose names collide across kinds: a string, a tagged pair on either
+# side, the plain pair, and a constant of the same name as a variable.
+replay_terms = st.recursive(
+    st.sampled_from(
+        [x, Var(TaggedVar("L", "x")), Var(TaggedVar("R", "x")), Var(("L", "x")), Fun("x"), a]
+    ),
+    lambda ts: st.builds(f, ts, ts)
+    | st.builds(g, ts)
+    | st.builds(lambda t: f(t, t), ts),
+    max_leaves=10,
+)
+
+
+def assert_agrees_with_reference(t, u):
+    rt, ru = to_reference(t), to_reference(u)
+    for fast, ref in ((t, rt), (u, ru)):
+        assert repr(fast) == repr(ref)
+        assert str(fast) == str(ref)
+        assert hash(fast) == hash(ref)
+        assert repr(from_reference(ref)) == repr(fast)
+    assert (t == u) == (rt == ru)
+    assert (t != u) == (rt != ru)
+
+
+@given(replay_terms, replay_terms)
+def test_nodes_agree_with_the_dataclass_reference(t, u):
+    assert_agrees_with_reference(t, u)
+    assert_agrees_with_reference(t, from_reference(to_reference(t)))
+
+
+def test_nodes_agree_with_the_reference_on_deep_and_shared_terms(default_recursion_limit):
+    t = Var(TaggedVar("L", "x"))
+    for _ in range(10000):
+        t = g(t)
+    assert_agrees_with_reference(t, g(t))
+    leaf = Var(TaggedVar("L", "x"))
+    assert_agrees_with_reference(dag(10, leaf), dag(10, Var(TaggedVar("L", "x"))))
+    assert_agrees_with_reference(dag(10, leaf), dag(10, Var(TaggedVar("R", "x"))))
+    # Too big to unfold: only == and != walk the DAG.
+    rt = to_reference(dag(40, a))
+    assert rt == to_reference(dag(40, a)) and not rt != to_reference(dag(40, a))
+    assert rt != to_reference(dag(40, b)) and not rt == to_reference(dag(40, b))
 
 
 @given(terms)
