@@ -10,6 +10,17 @@ building the other reducts.  The walk keeps its own stack, so the depth of
 a term costs no Python recursion.  Steps count against a step budget, so
 results are reproducible and termination is never assumed.
 
+Under call-by-value the normal form of an argument, and the steps to it, do
+not depend on the context, so one `nf` call memoizes them: each redex met
+as an argument of a pending application (not at the root, and not the
+contractum of such a redex, so a loop at the root of a term keeps no memo)
+is stored with its normal form and step count, keyed by its symbol and its
+arguments up to equality.  An equal redex met again takes the stored normal
+form and adds the stored steps, unless they would overshoot the budget;
+then it is rewritten step by step, so steps, terms and verdicts are those
+of the step-by-step walk in every case.  The memo lives for one call and
+grows with the argument redexes it normalizes.
+
 `check_local_confluence` normalizes both sides of each critical pair as
 the enumeration yields it.  Two distinct normal forms reachable from one
 peak refute confluence outright and end the enumeration; pairs whose sides
@@ -69,6 +80,12 @@ def nf(rules: Sequence[Rule], t: Term, max_steps: int) -> NormalizationResult:
     on without rewriting: at the next redex it stops with the current term
     and ``reached_normal_form`` false; if there is none, the term is normal
     and ``reached_normal_form`` is true, also when ``steps == max_steps``.
+
+    The normal form of each argument redex is computed once per call and
+    reused, with its steps counted again each time, for equal redexes met
+    later (see the module docstring).  The result may therefore share
+    subterms where the step-by-step walk builds equal copies.  Memory grows
+    with the argument redexes normalized, and is freed when the call returns.
     """
     _rule.check_valid(rules)
     return _nf(_rule.index_by_root(rules), t, max_steps)
@@ -78,9 +95,14 @@ def _nf(by_root: dict, t: Term, max_steps: int) -> NormalizationResult:
     """`nf` under valid rules indexed by `rule.index_by_root`."""
     candidates, match = by_root.get, substitution.match
     steps = 0
+    # Normal forms of argument redexes: key -> (normal form, steps taken).
+    memo: dict = {}
+    key_of = _keys()
     # A frame is an application whose arguments are being normalized: its
     # pattern, the substitution the pattern stands under (None for a subterm
-    # of ``t``, taken as it is) and the arguments normalized so far.
+    # of ``t``, taken as it is) and the arguments normalized so far.  A
+    # marker ``(None, key, steps)`` stands below the contractum of the
+    # argument redex ``key``, rewritten when ``steps`` had been taken.
     stack: list = []
     pattern, sigma = t, None
     while True:
@@ -108,11 +130,28 @@ def _nf(by_root: dict, t: Term, max_steps: int) -> NormalizationResult:
                 if theta is not None:
                     if steps >= max_steps:
                         return NormalizationResult(_rebuild(value, stack), steps, False)
+                    if stack and stack[-1][0] is not None:
+                        # An argument redex: its normal form and the steps
+                        # to it do not depend on the context.
+                        key = (value.symbol, *map(key_of, value.args))
+                        hit = memo.get(key)
+                        if hit is not None and steps + hit[1] <= max_steps:
+                            value, k = hit
+                            steps += k
+                            candidate = False
+                            continue
+                        stack.append((None, key, steps))
                     steps += 1
                     pattern, sigma = r.rhs, theta
                     break
             if not stack:
                 return NormalizationResult(value, steps, True)
+            if stack[-1][0] is None:
+                # ``value`` is the normal form of the argument redex below it.
+                _, key, before = stack.pop()
+                memo[key] = (value, steps - before)
+                candidate = False
+                continue
             parent, parent_sigma, done = stack[-1]
             done.append(value)
             if len(done) < len(parent.args):
@@ -126,9 +165,52 @@ def _nf(by_root: dict, t: Term, max_steps: int) -> NormalizationResult:
             candidate = True
 
 
+def _keys():
+    """A function that keys terms for the memo of `_nf`: equal terms get
+    equal keys.  A variable is its own key; an application's key is the id
+    of the first application keyed with its symbol and the keys of its
+    arguments.  Each node is keyed once, with its own stack, and kept alive,
+    so that no id is reused while the keys are in use."""
+    keys: dict = {}
+    firsts: dict = {}
+    alive: list = []
+    known = keys.get
+
+    def key(t: Term):
+        if type(t) is Var:
+            return t
+        k = known(id(t))
+        if k is not None:
+            return k
+        # Key the node on top once its arguments are keyed.
+        todo = [t]
+        while todo:
+            u = todo[-1]
+            shape = [u.symbol]
+            for a in u.args:
+                if type(a) is Var:
+                    shape.append(a)
+                    continue
+                k = known(id(a))
+                if k is None:
+                    todo.append(a)
+                    break
+                shape.append(k)
+            else:
+                todo.pop()
+                i = id(u)
+                keys[i] = firsts.setdefault(tuple(shape), i)
+                alive.append(u)
+        return keys[id(t)]
+
+    return key
+
+
 def _rebuild(hole: Term, stack: list) -> Term:
     """The whole current term: ``hole`` plugged into the stacked frames."""
     for pattern, sigma, done in reversed(stack):
+        if pattern is None:
+            continue
         rest = pattern.args[len(done) + 1 :]
         if sigma is not None:
             rest = tuple(substitution.apply(sigma, a) for a in rest)

@@ -140,10 +140,21 @@ def rename_apart(r1: Rule, r2: Rule) -> tuple[Rule, Rule]:
 
 
 def tag(r: Rule, side: str) -> Rule:
-    """The variant of ``r`` with each variable ``v`` renamed to ``TaggedVar(side, v)``."""
-    variables = dict.fromkeys((*_term.vars(r.lhs), *_term.vars(r.rhs)))
-    sigma = {v: Var(TaggedVar(side, v)) for v in variables}
-    return Rule(substitution.apply(sigma, r.lhs), substitution.apply(sigma, r.rhs))
+    """The variant of ``r`` with each variable ``v`` renamed to ``TaggedVar(side, v)``.
+
+    Each side is renamed in one walk; each variable's new node is made when
+    it is first met and used for all its occurrences."""
+    renamed: dict = {}
+
+    def rename(name: Any, _: Var) -> Var:
+        v = renamed.get(name)
+        if v is None:
+            v = renamed[name] = Var(TaggedVar(side, name))
+        return v
+
+    return Rule(
+        substitution._replace_vars(r.lhs, rename), substitution._replace_vars(r.rhs, rename)
+    )
 
 
 def render(r: Rule) -> str:

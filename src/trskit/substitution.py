@@ -16,7 +16,7 @@ one search for a cycle in its bindings.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from . import term as _term
 from .term import Fun, Term, Var
@@ -28,9 +28,16 @@ GeneralizedSubstitution = dict
 
 def apply(sigma: Mapping, t: Term) -> Term:
     """Homomorphic extension of ``sigma``; unmapped variables map to themselves."""
+    if not sigma:
+        return t
+    return _replace_vars(t, sigma.get)
+
+
+def _replace_vars(t: Term, image: Callable[[Hashable, Var], Term]) -> Term:
+    """``t`` with each variable occurrence ``v`` replaced by ``image(v.name, v)``."""
     if isinstance(t, Var):
-        return sigma.get(t.name, t)
-    if not sigma or not t.args:
+        return image(t.name, t)
+    if not t.args:
         return t
     # A frame is an application, its arguments not yet substituted and
     # those substituted so far.
@@ -39,7 +46,7 @@ def apply(sigma: Mapping, t: Term) -> Term:
         node, rest, done = stack[-1]
         for a in rest:
             if isinstance(a, Var):
-                done.append(sigma.get(a.name, a))
+                done.append(image(a.name, a))
             elif a.args:
                 stack.append((a, iter(a.args), []))
                 break
@@ -119,7 +126,10 @@ def unify(s: Term, t: Term) -> Optional[Substitution]:
     stack = [(s, t)]
     while stack:
         a, b = stack.pop()
-        a, b = _resolve(sigma, a), _resolve(sigma, b)
+        if isinstance(a, Var) and a.name in sigma:
+            a = _resolve(sigma, a)
+        if isinstance(b, Var) and b.name in sigma:
+            b = _resolve(sigma, b)
         if isinstance(b, Var):
             a, b = b, a
         if isinstance(a, Var):
@@ -163,7 +173,8 @@ def _solve(sigma: dict) -> Optional[Substitution]:
                 todo.pop()
                 continue
             image = sigma[v]
-            pending = [u for u in _term.vars(image) if u in sigma and u not in solved]
+            bound = [u for u in _term.vars(image) if u in sigma]
+            pending = [u for u in bound if u not in solved]
             if pending:
                 entered.add(v)
                 if not entered.isdisjoint(pending):
@@ -171,7 +182,8 @@ def _solve(sigma: dict) -> Optional[Substitution]:
                 todo.extend(pending)
             else:
                 todo.pop()
-                solved[v] = apply(solved, image)
+                # An image without bound variables is solved already.
+                solved[v] = apply(solved, image) if bound else image
     return {v: solved[v] for v in sigma}
 
 

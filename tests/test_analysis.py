@@ -1,11 +1,13 @@
 import random
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from termgen import random_term, random_valid_rule, root_overlapping_system, rule_strategy
-from trskit import analysis, criticalpairs, problem, rewriting, rule, substitution
+from trskit import analysis, criticalpairs, problem, rewriting, rule, substitution, term
 from trskit.analysis import LocallyConfluent, NotConfluent, Unknown
 from trskit.rewriting import Strategy
 from trskit.rule import InvalidRuleError, Rule
@@ -54,17 +56,22 @@ def test_nf_deterministic_and_replayable():
         assert res.reached_normal_form == rewriting.is_normal_form(rules, res.term)
 
 
+def derivation(rules, t, limit):
+    """The leftmost-innermost derivation from ``t``, one ``rewriting.step``
+    at a time, for at most ``limit`` steps: its terms, and whether the last
+    one is normal."""
+    terms = [t]
+    while reducts := rewriting.step(rules, terms[-1], Strategy.INNERMOST):
+        if len(terms) > limit:
+            return terms, False
+        terms.append(reducts[0].result)
+    return terms, True
+
+
 def reference_nf(rules, t, max_steps):
     """The one-step definition of `analysis.nf`: keep the first innermost reduct."""
-    current, steps = t, 0
-    while True:
-        reducts = rewriting.step(rules, current, Strategy.INNERMOST)
-        if not reducts:
-            return analysis.NormalizationResult(current, steps, True)
-        if steps >= max_steps:
-            return analysis.NormalizationResult(current, steps, False)
-        current = reducts[0].result
-        steps += 1
+    terms, normal = derivation(rules, t, max_steps)
+    return analysis.NormalizationResult(terms[-1], len(terms) - 1, normal)
 
 
 def assert_same_result(rules, subject, budget):
@@ -107,6 +114,8 @@ def test_nf_replays_the_reference_on_edge_cases():
         ([Rule(a, g(b)), Rule(b, c), Rule(g(c), d)], f(a, f(a, b)), 6),
         ([Rule(a, g(b)), Rule(b, c), Rule(g(c), d)], f(a, f(a, b)), 9),
         ([Rule(a, b)], x, 0),
+        # argument redexes that differ only in a variable below their root
+        ([Rule(g(x), x)], f(g(f(x, a)), g(f(y, a))), 5),
     ]
     for rules, subject, budget in cases:
         assert_same_result(rules, subject, budget)
@@ -237,11 +246,12 @@ def test_overlap_free_is_confluent_with_zero_budget():
 
 
 def reference_check_local_confluence(rules, max_steps):
-    """Build the full list of critical pairs, then join them in order."""
+    """Build the full list of critical pairs, then join them in order, each
+    side by `reference_nf`."""
     unresolved = 0
     for cp in criticalpairs.critical_pairs(rules, criticalpairs.Scope.ALL):
-        left = analysis.nf(rules, cp.left, max_steps)
-        right = analysis.nf(rules, cp.right, max_steps)
+        left = reference_nf(rules, cp.left, max_steps)
+        right = reference_nf(rules, cp.right, max_steps)
         if left.reached_normal_form and right.reached_normal_form:
             if left.term != right.term:
                 return NotConfluent(cp, left.term, right.term)
@@ -327,3 +337,126 @@ def test_fuel_monotonicity(rules):
         assert isinstance(high, LocallyConfluent)
     if isinstance(low, NotConfluent):
         assert isinstance(high, NotConfluent)
+
+
+y = Var("y")
+s_ = lambda t: Fun("s", (t,))
+ARITHMETIC = {
+    "ack": problem.parse((CORPUS / "ackermann.trs").read_text()).strict_rules,
+    "plus": problem.parse((CORPUS / "peano_plus.trs").read_text()).strict_rules,
+}
+ARITHMETIC["times"] = [
+    *ARITHMETIC["plus"],
+    Rule(Fun("times", (Fun("0"), y)), Fun("0")),
+    Rule(Fun("times", (s_(x), y)), Fun("plus", (Fun("times", (x, y)), y))),
+]
+
+
+def call(family, m, n):
+    return Fun(family, (numeral(m), numeral(n)))
+
+
+def assert_nf_replays_the_derivation(rules, subject, limit):
+    """`nf` at every budget up to ``limit``, and up to one step past the
+    normal form, agrees with the derivation."""
+    terms, normal = derivation(rules, subject, limit)
+    n = len(terms) - 1
+    for budget in range(min(n + 1, limit) + 1):
+        got = analysis.nf(rules, subject, budget)
+        k = min(budget, n)
+        assert (got.steps, got.reached_normal_form) == (k, normal and budget >= n), (subject, budget)
+        assert got.term == terms[k], (subject, budget)
+
+
+def test_nf_memo_replays_the_reference_at_every_budget():
+    # Argument redexes such as ack(1, j) and plus(s^j(0), y) are normalized
+    # again and again; the budgets end before, inside and at the end of
+    # each of those subcomputations, and one step past the normal form.
+    times = lambda s, t: Fun("times", (s, t))
+    cases = [("ack", call("ack", 2, n)) for n in range(5)] + [("ack", call("ack", 3, 1))]
+    cases += [("times", call("times", m, n)) for m in range(5) for n in range(5)]
+    cases += [("plus", call("plus", m, n)) for m in (0, 1, 4, 9) for n in (0, 3)]
+    # Equal argument redexes, one object twice and built separately.
+    cases += [
+        ("times", Fun("plus", (call("times", 2, 3), call("times", 2, 3)))),
+        ("times", times(call("plus", 2, 1), call("plus", 2, 1))),
+        ("ack", Fun("ack", (call("ack", 1, 1), call("ack", 1, 1)))),
+    ]
+    shared = call("times", 2, 2)
+    cases.append(("times", Fun("plus", (shared, shared))))
+    for family, subject in cases:
+        assert_nf_replays_the_derivation(ARITHMETIC[family], subject, 10_000)
+
+
+def test_nf_memo_replays_the_reference_on_duplicating_systems():
+    # A duplicating rule copies reducible arguments, and the subjects repeat
+    # them, as one object and as equal objects built apart.
+    g = lambda t: Fun("g", (t,))
+    copy = lambda t: term.map_symbols(t, lambda v: v, lambda f: f)
+    rng = random.Random(4242)
+    for _ in range(200):
+        rules = [random_valid_rule(rng) for _ in range(rng.randint(1, 4))]
+        rules.insert(rng.randint(0, len(rules)), Rule(g(x), f(x, x)))
+        for _ in range(2):
+            t = random_term(rng, max_depth=3)
+            u = random_term(rng, max_depth=2)
+            for subject in (f(t, t), f(g(t), g(copy(t))), g(f(t, u)), f(f(t, u), copy(f(t, u)))):
+                assert_nf_replays_the_derivation(rules, subject, 12)
+
+
+def test_check_lc_replays_the_reference_on_lemma_systems():
+    # The benchmark's lemma systems: a rule ``call -> value`` overlaps a rule
+    # of the system at the root, so one side of the pair is ``need`` steps
+    # from the value.  Budgets need - 1 (MAYBE), need and need + 1.
+    kinds = set()
+    for family, m, n in [("ack", 2, 1), ("ack", 2, 3), ("ack", 3, 1), ("plus", 3, 4), ("times", 3, 3)]:
+        base = ARITHMETIC[family]
+        terms, _ = derivation(base, call(family, m, n), 10_000)
+        need = len(terms) - 2
+        for value in (terms[-1], s_(terms[-1])):
+            rules = [*base, Rule(call(family, m, n), value)]
+            for budget in (need - 1, need, need + 1):
+                kinds.add(assert_same_verdict(rules, budget))
+    assert kinds == {LocallyConfluent, NotConfluent, Unknown}
+
+
+def test_nf_memo_cuts_the_matching_on_ackermann(monkeypatch):
+    # ack(2, 13) normalizes ack(1, j) and the plus-like chains below it over
+    # and over: 867 calls of match without the memo.
+    calls = []
+    match = substitution.match
+    monkeypatch.setattr(substitution, "match", lambda p, s: calls.append(1) or match(p, s))
+    res = analysis.nf(ARITHMETIC["ack"], call("ack", 2, 13), 10_000)
+    assert (res.term, res.steps, res.reached_normal_form) == (numeral(29), 434, True)
+    assert len(calls) <= 300
+
+
+def test_nf_keeps_no_memo_on_a_root_tail_loop():
+    # Every redex of g(x) -> g(s(x)) from g(0) is at the root, and from
+    # s(g(0)) every redex after the first is the contractum of the argument
+    # redex g(0), so nothing is memoized: the peak is the size of the result.
+    g = lambda t: Fun("g", (t,))
+    rules = [Rule(g(x), g(s_(x)))]
+    for start in (g(Fun("0")), s_(g(Fun("0")))):
+        tracemalloc.start()
+        try:
+            res = analysis.nf(rules, start, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.steps, res.reached_normal_form) == (20_000, False)
+        nodes, todo = {}, [res.term]
+        while todo:
+            t = todo.pop()
+            if id(t) not in nodes:
+                nodes[id(t)] = t
+                todo.extend(t.args)
+        size = sum(sys.getsizeof(t) + sys.getsizeof(t.args) for t in nodes.values())
+        assert peak <= 1.25 * size, start
+
+
+def test_nf_memo_on_a_deep_argument_chain(default_recursion_limit):
+    # Every step below the root is an argument redex plus(s^j(0), s(0)):
+    # 10 000 memo keys over a numeral 10 000 deep.
+    res = analysis.nf(ARITHMETIC["plus"], Fun("plus", (numeral(10_000), numeral(1))), 20_000)
+    assert (res.term, res.steps, res.reached_normal_form) == (numeral(10_001), 10_001, True)
