@@ -74,12 +74,9 @@ def _write_json(obj, write) -> None:
     The writer keeps its own stack, so documents of any depth need no
     recursion, and hands the text over in batches, so the whole document
     is never held as one string.  An application's text is one f-string
-    around its arguments.  The text of a variable or constant is kept for
-    each node and indentation, since a parsed problem shares one node per
-    leaf name.
+    around its arguments, and a variable's or a constant's is one f-string.
     """
     out: list[str] = []
-    leaves: dict = {}  # (id(leaf), len(nl)) -> its text at that indentation
     pending = 0  # punctuation and indentation of values gathered since the last write
     # Values still to write, each with the newline and indentation of its
     # line, and the punctuation between them as plain strings.
@@ -107,16 +104,10 @@ def _write_json(obj, write) -> None:
                     stack.append((args[k], inner))
                     stack.append(sep)
             stack.append((args[0], inner))
-        elif kind is Fun or kind is Var:
-            key = (id(o), len(nl))
-            text = leaves.get(key)
-            if text is None:
-                if kind is Var:
-                    text = f'{{{nl}  "var": {encode_basestring_ascii(str(o.name))}{nl}}}'
-                else:
-                    text = f'{{{nl}  "fun": {encode_basestring_ascii(str(o.symbol))},{nl}  "args": []{nl}}}'
-                leaves[key] = text
-            out.append(text)
+        elif kind is Var:
+            out.append(f'{{{nl}  "var": {encode_basestring_ascii(str(o.name))}{nl}}}')
+        elif kind is Fun:
+            out.append(f'{{{nl}  "fun": {encode_basestring_ascii(str(o.symbol))},{nl}  "args": []{nl}}}')
         elif isinstance(o, str):
             out.append(encode_basestring_ascii(o))
         elif o is None:

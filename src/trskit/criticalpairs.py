@@ -101,9 +101,8 @@ def canonical_renaming(cp: CriticalPair) -> dict:
 def canonical_terms(cp: CriticalPair, *more: Term) -> tuple[Term, ...]:
     """The pair's peak and reducts, then ``more`` terms over its variables,
     renamed by `canonical_renaming`."""
-    mapping = canonical_renaming(cp)
-    terms = (cp.top, cp.left, cp.right, *more)
-    return tuple(_term.map_symbols(t, mapping.__getitem__, lambda f: f) for t in terms)
+    sigma = {v: Var(name) for v, name in canonical_renaming(cp).items()}
+    return tuple(substitution.apply(sigma, t) for t in (cp.top, cp.left, cp.right, *more))
 
 
 def render(cp: CriticalPair) -> str:

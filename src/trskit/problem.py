@@ -30,7 +30,10 @@ and ``\xa0``.  `ParseError` carries a 1-based line and column.  Only
 column.  An error at the end of the input points just past its last
 character.
 
-The reader works on the tokens as plain strings from one regex pass.  The
+The reader works on the tokens as plain strings from one regex pass.  A
+section other than ``VAR`` and ``STRATEGY`` ends at the first token from
+its body on where the nesting depth, summed once over all tokens, is back
+to 0; a section left open ends at the end of the input.  The
 offset of a token in the text is computed only when an error or the raw
 text of a preserved section needs it, by matching tokens from whichever
 end of the text is nearer, so a section after a long ``RULES`` costs the
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
@@ -86,6 +89,9 @@ _TOKEN = re.compile(r'\s*([(),"]|[^\s(),"]+)')
 _ARROWS = ("->", "->=")
 # Tokens that are not identifiers, and the sentinel "" that ends a token list.
 _NOT_IDENT = frozenset(("(", ")", ",", '"', *_ARROWS, ""))
+
+# The change of nesting depth at each token; other tokens change nothing.
+_DEPTH = {"(": 1, ")": -1}
 
 _STRATEGY_NAMES = {
     "FULL": Strategy.FULL,
@@ -144,27 +150,14 @@ class _Source:
         return ParseError(message, text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off))
 
 
-def _closing(tokens: list[str], i: int) -> int:
-    """Index of the ``)`` that closes the section whose body starts at token
-    ``i``, or of the sentinel if the input ends first."""
-    depth = 0
-    while True:
-        word = tokens[i]
-        if word == "(":
-            depth += 1
-        elif word == ")":
-            if depth == 0:
-                return i
-            depth -= 1
-        elif not word:
-            return i
-        i += 1
-
-
 def parse(text: str, *, check_arity: bool = True) -> Problem:
     """Parse a WST problem, or raise `ParseError` with a source position."""
     src = _Source(text)
     tokens = src.tokens
+    # The nesting depth after each token, and 0 at the sentinel, so that a
+    # section ends at the first 0 from its body on, or at the sentinel.
+    depth = list(accumulate(map(_DEPTH.get, tokens, repeat(0))))
+    depth[-1] = 0
 
     def fail(message: str, i: int) -> ParseError:
         """The error at token ``i``; at the sentinel, a section is left open."""
@@ -209,7 +202,7 @@ def parse(text: str, *, check_arity: bool = True) -> Problem:
                 raise fail(f"expected ')' after strategy, found {word!r}", i + 1)
             i += 2
         else:
-            j = _closing(tokens, i)
+            j = depth.index(0, i)
             if not tokens[j]:
                 raise fail("unbalanced parentheses", j)
             if name == "RULES":

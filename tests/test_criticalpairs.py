@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from termgen import brute_force_overlaps, root_overlapping_system, rule_strategy
-from trskit import criticalpairs, problem, rewriting, rule, term
+from trskit import analysis, criticalpairs, problem, rewriting, rule, term
 from trskit.criticalpairs import Scope
 from trskit.rule import InvalidRuleError, Rule
 from trskit.term import Fun, Var
@@ -150,3 +150,35 @@ def test_to_json_uses_canonical_variables():
         "lhs": {"fun": "f", "args": [{"fun": "f", "args": [{"var": "x"}]}]},
         "rhs": {"fun": "f", "args": [{"var": "x"}]},
     }
+
+
+def reference_canonical_terms(cp, *more):
+    """`criticalpairs.canonical_terms` as it was written over `term.map_symbols`."""
+    mapping = criticalpairs.canonical_renaming(cp)
+    terms = (cp.top, cp.left, cp.right, *more)
+    return tuple(term.map_symbols(t, mapping.__getitem__, lambda f: f) for t in terms)
+
+
+def assert_canonical_terms_replay_the_reference(cp, *more):
+    got = criticalpairs.canonical_terms(cp, *more)
+    want = reference_canonical_terms(cp, *more)
+    assert got == want
+    assert [term.render(t) for t in got] == [term.render(t) for t in want]
+    assert [term.to_json(t) for t in got] == [term.to_json(t) for t in want]
+
+
+def test_canonical_terms_replay_the_reference():
+    systems = [problem.parse(path.read_text()).strict_rules for path in sorted(CORPUS.glob("*.trs"))]
+    rng = random.Random(43)
+    systems += [root_overlapping_system(rng) for _ in range(400)]
+    pairs = witnesses = 0
+    for rules in systems:
+        for cp in criticalpairs.critical_pairs(rules):
+            assert_canonical_terms_replay_the_reference(cp)
+            pairs += 1
+        # the normal forms that `check-lc` prints with the witness
+        verdict = analysis.check_local_confluence(rules, 50)
+        if isinstance(verdict, analysis.NotConfluent):
+            assert_canonical_terms_replay_the_reference(verdict.witness, verdict.nf_left, verdict.nf_right)
+            witnesses += 1
+    assert pairs > 2000 and witnesses > 100, (pairs, witnesses)

@@ -306,7 +306,7 @@ def test_rule_errors_reported_after_a_later_section():
         rng.shuffle(tail)
         sep = rng.choice(("\n", " ", "", "\r\n", "\t", "\x85"))
         text = sep.join(["(VAR x y z)", f"(RULES\n{body}\n)", *tail[: rng.randint(1, 4)]])
-        bad = spoiled_rules(rng, text)
+        bad = spoiled_rules(rng, text, body)
         got = outcome(problem.parse, bad)
         assert got == outcome(reference_parse, bad), bad
         if isinstance(got, tuple) and got[0].startswith(RULE_ERRORS):
@@ -314,12 +314,13 @@ def test_rule_errors_reported_after_a_later_section():
     assert checked > 300
 
 
-def spoiled_rules(rng, text):
-    """``text`` with one token inside RULES dropped, doubled or replaced."""
+def spoiled_rules(rng, text, body):
+    """``text`` with one token of ``body``, the text inside its RULES, dropped,
+    doubled or replaced."""
     tokens = problem._TOKEN.findall(text)
     spans = [m.span(1) for m in problem._TOKEN.finditer(text)]
     first = tokens.index("RULES") + 1
-    start, end = spans[rng.randrange(first, problem._closing(tokens, first))]
+    start, end = spans[rng.randrange(first, first + len(problem._TOKEN.findall(body)))]
     kind = rng.randrange(3)
     if kind == 0:
         return text[:start] + text[end:]
@@ -370,6 +371,14 @@ def test_reader_replays_the_reference_on_token_soups(pieces):
 
 
 def test_reader_replays_the_reference_on_random_soups():
+    for text in (
+        "(VAR x)(RULES f(x) -> x)(COMMENT one (two (three)) four)",
+        "(RULES f(x) -> x)\n(THEORY (AC f)",
+        "(RULES a -> b))",
+        "(COMMENT)",
+        "(VAR x)(RULES f(x) -> x",
+    ):
+        assert_replays_the_reference(text)
     rng = random.Random(17)
     for _ in range(3000):
         assert_replays_the_reference("".join(rng.choice(SOUP) for _ in range(rng.randint(0, 40))))
