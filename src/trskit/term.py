@@ -197,7 +197,10 @@ def size(t: Term) -> int:
 
 
 def positions(t: Term) -> list[Position]:
-    """All positions of ``t`` in preorder: root first, then children left to right."""
+    """All positions of ``t`` in preorder: root first, then children left to right.
+
+    The positions of a term of depth d hold O(d²) indices in all, so code
+    that needs only the nodes walks the term itself, not these."""
     out: list[Position] = []
     stack: list = [((), t)]
     while stack:
@@ -209,23 +212,26 @@ def positions(t: Term) -> list[Position]:
     return out
 
 
-def subterm_at(t: Term, p: Sequence[int]) -> Term:
-    """The subterm rooted at ``p``; the root position yields ``t`` itself."""
+def _descend(t: Term, p: Sequence[int]) -> tuple[list[tuple[Fun, int]], Term]:
+    """The applications passed on the way from ``t`` down to ``p``, outermost
+    first, each with the argument index taken there, and the subterm at ``p``."""
+    above = []
     for k, i in enumerate(p):
         if isinstance(t, Var) or not 0 <= i < len(t.args):
             raise InvalidPositionError(f"no subterm at index {i} (position step {k})")
+        above.append((t, i))
         t = t.args[i]
-    return t
+    return above, t
+
+
+def subterm_at(t: Term, p: Sequence[int]) -> Term:
+    """The subterm rooted at ``p``; the root position yields ``t`` itself."""
+    return _descend(t, p)[1]
 
 
 def replace_at(t: Term, p: Sequence[int], s: Term) -> Term:
     """``t`` with the subterm at ``p`` replaced by ``s``."""
-    above = []
-    for i in p:
-        if isinstance(t, Var) or not 0 <= i < len(t.args):
-            raise InvalidPositionError(f"no subterm at index {i}")
-        above.append((t, i))
-        t = t.args[i]
+    above, _ = _descend(t, p)
     for t, i in reversed(above):
         s = Fun(t.symbol, t.args[:i] + (s,) + t.args[i + 1 :])
     return s

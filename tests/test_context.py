@@ -18,6 +18,24 @@ def test_of_term():
         context.of_term(f_ab, (2,))
 
 
+@pytest.mark.parametrize(
+    "p, index, step",
+    [
+        pytest.param((1, 1), 1, 1, id="past-the-arity"),
+        pytest.param((1, -1), -1, 1, id="negative"),
+        pytest.param((0, 0), 0, 1, id="into-a-variable"),
+        pytest.param((1, 0, 0), 0, 2, id="into-a-constant"),
+    ],
+)
+def test_invalid_position_gives_one_message(p, index, step):
+    t = Fun("f", (x, Fun("g", (a,))))
+    message = f"no subterm at index {index} (position step {step})"
+    for cut in (term.subterm_at, lambda t, p: term.replace_at(t, p, b), context.of_term):
+        with pytest.raises(InvalidPositionError) as raised:
+            cut(t, p)
+        assert str(raised.value) == message
+
+
 def test_plug():
     assert context.plug(HOLE, x) == x
     assert context.plug(CFun("f", (a,), HOLE, ()), b) == f_ab

@@ -15,6 +15,7 @@ import pytest
 
 from trskit import analysis, context, criticalpairs, problem, rewriting, rule, substitution, term
 from trskit.analysis import LocallyConfluent
+from trskit.context import CFun
 from trskit.criticalpairs import CriticalPair
 from trskit.rewriting import Strategy
 from trskit.rule import Rule
@@ -164,6 +165,10 @@ def context_round_trip(n):
     d = context.of_term(shared(n, a), (0,) * n)
     assert c == d and hash(c) == hash(d)
     assert c != context.of_term(Fun("t", (shared(n - 1),)), (0,) * n)
+    # Sharing the inner tail object: unequal above it, equal on every layer.
+    assert c != CFun("t", (), c.inner, ())
+    e = CFun("s", (), c.inner, ())
+    assert c == e and hash(c) == hash(e)
 
 
 @case(DEEP)
