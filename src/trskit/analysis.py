@@ -87,7 +87,6 @@ def nf(rules: Sequence[Rule], t: Term, max_steps: int) -> NormalizationResult:
     subterms where the step-by-step walk builds equal copies.  Memory grows
     with the argument redexes normalized, and is freed when the call returns.
     """
-    _rule.check_valid(rules)
     return _nf(_rule.index_by_root(rules), t, max_steps)
 
 
@@ -232,7 +231,6 @@ def check_local_confluence(rules: Sequence[Rule], max_steps: int) -> ConfluenceV
     first NO nor joined differently.  ``Unknown.unresolved`` still counts
     both pairs of an unresolved root overlap.
     """
-    _rule.check_valid(rules)
     by_root = _rule.index_by_root(rules)
     unresolved = 0
     for cp in _cp._pairs(rules, by_root, _cp.Scope.ALL):

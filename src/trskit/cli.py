@@ -3,7 +3,10 @@
 Exit codes: 0 for success or an affirmative verdict, 1 for a negative
 finding (invalid rules in `props`, NO from `check-lc`), 2 for MAYBE and
 for input or usage errors (told apart by the stderr message and by the
-``status`` field of ``--json`` output).
+``status`` field of ``--json`` output).  `main` loads the problem file
+once and hands the `problem.Problem` to the command.  A failure to write
+the output is also exit 2, reported on stderr only: no JSON error
+document follows the partial output.
 
 Commands run on the calling thread at the interpreter's recursion limit:
 the library's traversals keep their own stacks, and so does the writer of
@@ -42,9 +45,17 @@ def main(argv=None) -> int:
     if getattr(args, "max_steps", 0) < 0:
         return _fail(args, f"--max-steps must be at least 0, not {args.max_steps}")
     try:
-        return globals()[f"cmd_{args.command}"](args)
-    except (problem.ParseError, InvalidRuleError, OSError) as e:
+        p = _load(args)
+    except (problem.ParseError, OSError) as e:
         return _fail(args, str(e))
+    try:
+        return globals()[f"cmd_{args.command}"](args, p)
+    except (problem.ParseError, InvalidRuleError) as e:
+        return _fail(args, str(e))
+    except OSError as e:
+        # The output failed part-way, so no JSON document can follow it.
+        print(f"trskit: error: {e}", file=sys.stderr)
+        return 2
 
 
 def _fail(args, message: str) -> int:
@@ -161,8 +172,7 @@ def _warn_weak(p: problem.Problem) -> None:
         print(f"trskit: warning: ignoring {len(p.weak_rules)} weak rule(s)", file=sys.stderr)
 
 
-def cmd_parse(args) -> int:
-    p = _load(args)
+def cmd_parse(args, p: problem.Problem) -> int:
     if args.json:
         _emit_json(problem.to_json(p, term=_as_is))
     else:
@@ -170,8 +180,7 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def cmd_props(args) -> int:
-    p = _load(args)
+def cmd_props(args, p: problem.Problem) -> int:
     rules = p.strict_rules + p.weak_rules
     props = rewriting.list_properties(rules)
     fields = [
@@ -196,8 +205,7 @@ def cmd_props(args) -> int:
     return 0 if props.valid else 1
 
 
-def cmd_cps(args) -> int:
-    p = _load(args)
+def cmd_cps(args, p: problem.Problem) -> int:
     _warn_weak(p)
     pairs = criticalpairs.critical_pairs(p.strict_rules, Scope(args.scope))
     if args.json:
@@ -217,8 +225,7 @@ def _subject(args, p: problem.Problem) -> term.Term:
     return problem.parse_term(args.term, p.variables, arity=arity)
 
 
-def cmd_rewrite(args) -> int:
-    p = _load(args)
+def cmd_rewrite(args, p: problem.Problem) -> int:
     _warn_weak(p)
     subject = _subject(args, p)
     reducts = rewriting.step(p.strict_rules, subject, _STRATEGY_FLAGS[args.strategy])
@@ -231,8 +238,7 @@ def cmd_rewrite(args) -> int:
     return 0
 
 
-def cmd_normalize(args) -> int:
-    p = _load(args)
+def cmd_normalize(args, p: problem.Problem) -> int:
     _warn_weak(p)
     subject = _subject(args, p)
     result = analysis.nf(p.strict_rules, subject, args.max_steps)
@@ -246,41 +252,37 @@ def cmd_normalize(args) -> int:
     return 0 if result.reached_normal_form else 2
 
 
-def cmd_check_lc(args) -> int:
-    p = _load(args)
+def cmd_check_lc(args, p: problem.Problem) -> int:
     if p.weak_rules:
         return _fail(args, "weak rules present; the local-confluence check needs a strict TRS")
     verdict = analysis.check_local_confluence(p.strict_rules, args.max_steps)
     if isinstance(verdict, analysis.LocallyConfluent):
-        if args.json:
-            _emit_json({"status": "YES"})
-        else:
-            print("YES")
-        return 0
-    if isinstance(verdict, analysis.NotConfluent):
+        code, doc, lines = 0, {"status": "YES"}, ["YES"]
+    elif isinstance(verdict, analysis.NotConfluent):
         w = verdict.witness
         nf_left, nf_right = criticalpairs.canonical_terms(w, verdict.nf_left, verdict.nf_right)[3:]
-        if args.json:
-            _emit_json(
-                {
-                    "status": "NO",
-                    "witness": criticalpairs.to_json(w, term=_as_is),
-                    "nfLeft": nf_left,
-                    "nfRight": nf_right,
-                }
-            )
-        else:
-            print("NO")
-            print(criticalpairs.render(w))
-            print(f"normal form of left: {term.render(nf_left)}")
-            print(f"normal form of right: {term.render(nf_right)}")
-        return 1
-    if args.json:
-        _emit_json({"status": "MAYBE", "unresolved": verdict.unresolved})
+        code = 1
+        doc = {
+            "status": "NO",
+            "witness": criticalpairs.to_json(w, term=_as_is),
+            "nfLeft": nf_left,
+            "nfRight": nf_right,
+        }
+        lines = [
+            "NO",
+            criticalpairs.render(w),
+            f"normal form of left: {term.render(nf_left)}",
+            f"normal form of right: {term.render(nf_right)}",
+        ]
     else:
-        print("MAYBE")
-        print(f"unresolved critical pairs: {verdict.unresolved}")
-    return 2
+        code = 2
+        doc = {"status": "MAYBE", "unresolved": verdict.unresolved}
+        lines = ["MAYBE", f"unresolved critical pairs: {verdict.unresolved}"]
+    if args.json:
+        _emit_json(doc)
+    else:
+        print("\n".join(lines))
+    return code
 
 
 @functools.cache

@@ -46,7 +46,6 @@ class CriticalPair:
 
 def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[CriticalPair]:
     """All critical pairs of ``rules``, in order of (outer rule, position, inner rule)."""
-    _rule.check_valid(rules)
     return list(_pairs(rules, _rule.index_by_root(rules), scope))
 
 
@@ -90,12 +89,8 @@ def _pairs(rules: Sequence[Rule], by_root: dict, scope: Scope):
 
 def canonical_renaming(cp: CriticalPair) -> dict:
     """Map the pair's tagged variables to ``x1, x2, ...`` in first-occurrence order."""
-    mapping: dict = {}
-    for t in (cp.top, cp.left, cp.right):
-        for v in _term.vars(t):
-            if v not in mapping:
-                mapping[v] = f"x{len(mapping) + 1}"
-    return mapping
+    seen = dict.fromkeys(_term.vars(cp.top) + _term.vars(cp.left) + _term.vars(cp.right))
+    return {v: f"x{k}" for k, v in enumerate(seen, 1)}
 
 
 def canonical_terms(cp: CriticalPair, *more: Term) -> tuple[Term, ...]:

@@ -93,11 +93,7 @@ _NOT_IDENT = frozenset(("(", ")", ",", '"', *_ARROWS, ""))
 # The change of nesting depth at each token; other tokens change nothing.
 _DEPTH = {"(": 1, ")": -1}
 
-_STRATEGY_NAMES = {
-    "FULL": Strategy.FULL,
-    "INNERMOST": Strategy.INNERMOST,
-    "OUTERMOST": Strategy.OUTERMOST,
-}
+_STRATEGY_NAMES = {s.name: s for s in Strategy if s is not Strategy.ROOT}
 
 
 class _Source:

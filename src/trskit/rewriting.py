@@ -56,7 +56,6 @@ def step(rules: Sequence[Rule], subject: Term, strategy: Strategy = Strategy.FUL
     Rules must be valid.  Duplicate rules in the list yield one reduct per
     rule index.
     """
-    _rule.check_valid(rules)
     by_root = _rule.index_by_root(rules)
     # Redexes in preorder as [path, depth, matches, innermost]; a path is
     # None at the root and (parent path, argument index) below it.

@@ -2,7 +2,7 @@
 
 Invalid rules (variable left-hand side, fresh right-hand variables) are
 representable so that parsers can report on bad input; operations that
-need validity check it explicitly.
+need validity check it when they index the rules with `index_by_root`.
 """
 
 from __future__ import annotations
@@ -90,7 +90,11 @@ def check_valid(rules: Sequence[Rule]) -> None:
 
 def index_by_root(rules: Sequence[Rule]) -> dict:
     """Map the root symbol of each left-hand side to its ``(index, rule)``
-    pairs in list order; the rules must be valid."""
+    pairs in list order.
+
+    Raises `InvalidRuleError`, as `check_valid` does, if a rule is not
+    valid; the operations that need valid rules check them here."""
+    check_valid(rules)
     index: dict = {}
     for i, r in enumerate(rules):
         index.setdefault(r.lhs.symbol, []).append((i, r))

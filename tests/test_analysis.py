@@ -211,7 +211,7 @@ def test_check_lc_validates_and_indexes_the_rules_once(monkeypatch):
         monkeypatch.setattr(rule, name, counted)
     rules = [Rule(a, b), Rule(a, c), Rule(b, d), Rule(c, d)]
     assert analysis.check_local_confluence(rules, 10) == LocallyConfluent()
-    assert calls == ["check_valid", "index_by_root"]
+    assert calls == ["index_by_root", "check_valid"]
 
 
 def test_check_lc_yes():

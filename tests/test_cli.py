@@ -1,9 +1,12 @@
+import contextlib
+import errno
 import hashlib
 import io
 import json
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import termgen
@@ -48,8 +51,8 @@ def test_commands_are_looked_up_when_main_runs(tmp_path, capsys, monkeypatch):
     # still runs
     path = write(tmp_path, "(VAR x)(RULES f(x) -> x)")
     assert run(capsys, "parse", path) == (0, "(VAR x)\n(RULES\nf(x) -> x\n)\n", "")
-    monkeypatch.setattr(cli, "cmd_parse", lambda args: print(f"replaced {args.command}") or 7)
-    assert run(capsys, "parse", path) == (7, "replaced parse\n", "")
+    monkeypatch.setattr(cli, "cmd_parse", lambda args, p: print(f"replaced {args.command}: {len(p.strict_rules)}") or 7)
+    assert run(capsys, "parse", path) == (7, "replaced parse: 1\n", "")
     assert cli._arg_parser() is cli._arg_parser()
 
 
@@ -211,6 +214,46 @@ def test_json_error_document(tmp_path, capsys):
     assert code == 2
     assert json.loads(out)["status"] == "error"
     assert "unbalanced parentheses" in err
+
+
+class FullOutput:
+    """A stdout that takes ``room`` characters and fails every write after."""
+
+    def __init__(self, room):
+        self.room = room
+        self.text = []
+        self.writes_after_failure = None
+
+    def write(self, text):
+        if self.writes_after_failure is not None:
+            self.writes_after_failure += 1
+        elif len(text) <= self.room:
+            self.room -= len(text)
+            self.text.append(text)
+            return len(text)
+        else:
+            self.writes_after_failure = 0
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv, room", [(["parse", "--json"], 300_000), (["parse"], 1_000)])
+def test_output_failure_is_reported_once(tmp_path, capsys, argv, room):
+    # a failed write of the output is an error of its own: one stderr line,
+    # exit code 2 and no JSON error document after the partial output
+    rules = "".join(f"f{k}(x,a) -> g(x)\n" for k in range(2000))
+    path = write(tmp_path, f"(VAR x)\n(RULES\n{rules})\n")
+    out = FullOutput(room)
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*argv, path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "trskit: error: [Errno 28] No space left on device\n"
+    assert out.writes_after_failure == 0
+    # the document fails after some of its writes, the text in its one write
+    assert bool(out.text) == ("--json" in argv)
 
 
 def test_missing_file(capsys):

@@ -80,6 +80,7 @@ def test_duplicate_variables_collapse():
         ("(STRATEGY FULL)(STRATEGY FULL)", "duplicate STRATEGY section"),
         ("(STRATEGY CONTEXTSENSITIVE)", "unknown STRATEGY keyword"),
         ("(STRATEGY)", "unknown STRATEGY keyword"),
+        ("(STRATEGY ROOT)", "unknown STRATEGY keyword"),
         ("stray", "expected '('"),
         ("(VAR x) (RULES f(x,,x) -> x)", "expected a term"),
         ('(VAR ")', "expected variable name"),

@@ -36,6 +36,16 @@ def test_check_valid():
         rule.check_valid([Rule(f(x), x), Rule(x, a)])
 
 
+@pytest.mark.parametrize("bad", [Rule(x, a), Rule(f(x), y)])
+def test_index_by_root_admits_only_valid_rules(bad):
+    rules = [Rule(f(x), x), bad]
+    with pytest.raises(InvalidRuleError) as indexing:
+        rule.index_by_root(rules)
+    with pytest.raises(InvalidRuleError) as checking:
+        rule.check_valid(rules)
+    assert str(indexing.value) == str(checking.value)
+
+
 def test_properties_examples():
     p = rule.properties(Rule(f(x, x), x))
     assert (p.left_linear, p.right_linear, p.collapsing, p.erasing, p.duplicating) == (
