@@ -61,7 +61,12 @@ def main(argv=None) -> int:
 def _fail(args, message: str) -> int:
     print(f"trskit: error: {message}", file=sys.stderr)
     if args.json:
-        _emit_json({"status": "error", "message": message})
+        try:
+            _emit_json({"status": "error", "message": message})
+        except OSError:
+            # The refusal is on stderr already; the output that failed
+            # cannot carry it.
+            pass
     return 2
 
 

@@ -11,7 +11,8 @@ as their annotations differ.
 The peak and both reducts live in the tagged namespace of `rule.tag`,
 which `rule.rename_apart` also uses; rendering and JSON output rename
 variables to ``x1, x2, ...`` by first occurrence in preorder over (top,
-left, right).
+left, right).  One generation makes one variable node per name and side
+for all the rules it tags, and one `CriticalPair` per overlap.
 """
 
 from __future__ import annotations
@@ -32,8 +33,15 @@ class Scope(enum.Enum):
     OUTER = "outer"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CriticalPair:
+    """A frozen dataclass with ``__slots__``, built as `term.Fun` is: one is
+    made for every overlap, so ``__init__`` stores each field through its
+    slot setter, and pickling and copying call the constructor."""
+
+    __slots__ = (
+        "top", "left", "right", "left_rule", "right_rule", "left_pos", "left_rule_index", "right_rule_index"
+    )
     top: Term
     left: Term
     right: Term
@@ -42,6 +50,32 @@ class CriticalPair:
     left_pos: Position
     left_rule_index: int
     right_rule_index: int
+
+    def __init__(
+        self, top: Term, left: Term, right: Term, left_rule: Rule, right_rule: Rule,
+        left_pos: Position, left_rule_index: int, right_rule_index: int,
+    ) -> None:
+        _set_top(self, top)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_left_rule(self, left_rule)
+        _set_right_rule(self, right_rule)
+        _set_left_pos(self, left_pos)
+        _set_left_rule_index(self, left_rule_index)
+        _set_right_rule_index(self, right_rule_index)
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+_set_top = CriticalPair.top.__set__
+_set_left = CriticalPair.left.__set__
+_set_right = CriticalPair.right.__set__
+_set_left_rule = CriticalPair.left_rule.__set__
+_set_right_rule = CriticalPair.right_rule.__set__
+_set_left_pos = CriticalPair.left_pos.__set__
+_set_left_rule_index = CriticalPair.left_rule_index.__set__
+_set_right_rule_index = CriticalPair.right_rule_index.__set__
 
 
 def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[CriticalPair]:
@@ -52,12 +86,20 @@ def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[Crit
 def _pairs(rules: Sequence[Rule], by_root: dict, scope: Scope):
     """The critical pairs of the valid ``rules``, indexed in ``by_root`` by
     `rule.index_by_root`, one at a time in the order of `critical_pairs`,
-    so that a caller can stop at any of them."""
+    so that a caller can stop at any of them.
+
+    Each rule is tagged as `rule.tag` does, with one node per variable name
+    and side for all the rules."""
+    # Looked up once per call, through the modules, so that a function
+    # replaced there before the call is the one called.
+    unify, apply = substitution.unify, substitution.apply
+    replace_at, of_path = _term.replace_at, _position.of_path
+    tag_left, tag_right = _rule._tagger("L"), _rule._tagger("R")
     # Rule i's variant on the left side, made when it is first tried;
     # TaggedVar compares by value, so one variant serves every overlap.
     left_variants: dict = {}
     for j, outer in enumerate(rules):
-        rho2 = _rule.tag(outer, "R")
+        rho2 = tag_right(outer)
         # A preorder walk of the left-hand side, with `position.of_path` paths.
         stack: list = [(rho2.lhs, None)]
         while stack:
@@ -76,14 +118,14 @@ def _pairs(rules: Sequence[Rule], by_root: dict, scope: Scope):
                     continue
                 rho1 = left_variants.get(i)
                 if rho1 is None:
-                    rho1 = left_variants[i] = _rule.tag(inner, "L")
-                sigma = substitution.unify(rho1.lhs, overlapped)
+                    rho1 = left_variants[i] = tag_left(inner)
+                sigma = unify(rho1.lhs, overlapped)
                 if sigma is None:
                     continue
-                p = _position.of_path(path)
-                top = substitution.apply(sigma, rho2.lhs)
-                left = _term.replace_at(top, p, substitution.apply(sigma, rho1.rhs))
-                right = substitution.apply(sigma, rho2.rhs)
+                p = of_path(path)
+                top = apply(sigma, rho2.lhs)
+                left = replace_at(top, p, apply(sigma, rho1.rhs))
+                right = apply(sigma, rho2.rhs)
                 yield CriticalPair(top, left, right, inner, outer, p, i, j)
 
 

@@ -147,7 +147,16 @@ def tag(r: Rule, side: str) -> Rule:
     """The variant of ``r`` with each variable ``v`` renamed to ``TaggedVar(side, v)``.
 
     Each side is renamed in one walk; each variable's new node is made when
-    it is first met and used for all its occurrences."""
+    it is first met and used for all its occurrences.  Each call makes new
+    nodes; `criticalpairs` tags all the rules of one generation with one
+    node per variable name and side."""
+    return _tagger(side)(r)
+
+
+def _tagger(side: str):
+    """A function that tags rules as `tag` does, and makes one new node per
+    variable name for all the rules it tags: the nodes are values, so the
+    variants are those `tag` makes, with fewer nodes."""
     renamed: dict = {}
 
     def rename(name: Any, _: Var) -> Var:
@@ -156,9 +165,10 @@ def tag(r: Rule, side: str) -> Rule:
             v = renamed[name] = Var(TaggedVar(side, name))
         return v
 
-    return Rule(
-        substitution._replace_vars(r.lhs, rename), substitution._replace_vars(r.rhs, rename)
-    )
+    def tag_rule(r: Rule) -> Rule:
+        return Rule(substitution._replace_vars(r.lhs, rename), substitution._replace_vars(r.rhs, rename))
+
+    return tag_rule
 
 
 def render(r: Rule) -> str:

@@ -11,7 +11,9 @@ Two application disciplines share the plain-dict representation:
   substitutions whose domain is exactly the pattern's variables.
 
 `unify` takes each pair of shared nodes apart once, and its occurs check is
-one search for a cycle in its bindings.
+one search for a cycle in its bindings.  When no image mentions a bound
+variable, which is most of the time, the bindings are in solved form
+already: one scan of the images finds this, and no solve runs.
 """
 
 from __future__ import annotations
@@ -162,7 +164,21 @@ def _resolve(sigma: dict, t: Term) -> Term:
 
 def _solve(sigma: dict) -> Optional[Substitution]:
     """The triangular ``sigma`` fully applied, each image solved once, in key
-    order, or ``None`` if a variable's image depends on the variable."""
+    order, or ``None`` if a variable's image depends on the variable.
+
+    Most unifiers have no image that mentions a bound variable; such a
+    ``sigma`` is solved already, and is returned itself."""
+    # Stop at the first bound variable in an image.
+    stack = list(sigma.values())
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            if t.name in sigma:
+                break
+        elif t.args:
+            stack += t.args
+    else:
+        return sigma
     solved: dict = {}
     # Variables whose image the walk has entered; those not yet solved are
     # on the path of the walk.

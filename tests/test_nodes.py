@@ -1,5 +1,6 @@
-"""The contract of the term nodes `Var`, `Fun` and `TaggedVar`: frozen,
-slotted values that pickle, copy and compare as the dataclasses they are.
+"""The contract of the term nodes `Var`, `Fun` and `TaggedVar`, and of
+`CriticalPair`: frozen, slotted values that pickle, copy and compare as the
+dataclasses they are.
 
 Standard library only, so that it runs under every supported interpreter:
 
@@ -7,11 +8,13 @@ Standard library only, so that it runs under every supported interpreter:
 """
 
 import copy
+import dataclasses
 import pickle
 import unittest
 from dataclasses import FrozenInstanceError
 
-from trskit.rule import TaggedVar
+from trskit.criticalpairs import CriticalPair
+from trskit.rule import Rule, TaggedVar
 from trskit.term import Fun, Var
 
 
@@ -94,6 +97,76 @@ class EqualityTest(unittest.TestCase):
         self.assertNotEqual(Var(("L", "x")), tagged)
         self.assertNotEqual(tagged, Var(TaggedVar("R", "x")))
         self.assertEqual(hash(TaggedVar("L", "x")), hash(("L", "x")))
+
+
+# The dataclass `CriticalPair` would be without its hand-written parts.
+GeneratedPair = dataclasses.make_dataclass(
+    "CriticalPair", [(f.name, f.type) for f in dataclasses.fields(CriticalPair)], frozen=True
+)
+
+
+def pair_fields():
+    """Field values of a few pairs, two of them equal but not identical."""
+    xl, xr = Var(TaggedVar("L", "x")), Var(TaggedVar("R", "x"))
+    inner, outer = Rule(Fun("g", (Var("x"),)), Var("x")), Rule(Fun("f", (Fun("g", (Var("x"),)),)), Fun("a"))
+    top = Fun("f", (Fun("g", (xr,)),))
+    return [
+        (top, Fun("f", (xr,)), Fun("a"), inner, outer, (0,), 0, 1),
+        (Fun("f", (Fun("g", (xr,)),)), Fun("f", (xr,)), Fun("a"), inner, outer, (0,), 0, 1),
+        (top, Fun("f", (xl,)), Fun("a"), inner, outer, (0,), 0, 1),
+        (top, top, top, outer, outer, (), 1, 1),
+    ]
+
+
+class CriticalPairTest(unittest.TestCase):
+    def test_frozen_without_instance_dict(self):
+        cp = CriticalPair(*pair_fields()[0])
+        self.assertFalse(hasattr(cp, "__dict__"))
+        for field in dataclasses.fields(CriticalPair):
+            with self.subTest(field=field.name):
+                with self.assertRaises(FrozenInstanceError):
+                    setattr(cp, field.name, None)
+                with self.assertRaises(FrozenInstanceError):
+                    delattr(cp, field.name)
+        with self.assertRaises(FrozenInstanceError):
+            cp.other = 1
+
+    def test_compares_hashes_and_prints_as_the_generated_dataclass(self):
+        values = pair_fields()
+        for v in values:
+            cp, generated = CriticalPair(*v), GeneratedPair(*v)
+            self.assertEqual(repr(cp), repr(generated))
+            self.assertEqual(hash(cp), hash(generated))
+            self.assertNotEqual(cp, generated)
+            self.assertNotEqual(cp, v)
+            for w in values:
+                self.assertEqual(CriticalPair(*v) == CriticalPair(*w), GeneratedPair(*v) == GeneratedPair(*w))
+        self.assertEqual(CriticalPair(*values[0]), CriticalPair(*values[1]))
+        self.assertNotEqual(CriticalPair(*values[0]), CriticalPair(*values[2]))
+
+    def test_keywords_and_replace(self):
+        v = pair_fields()[0]
+        names = [f.name for f in dataclasses.fields(CriticalPair)]
+        cp = CriticalPair(**dict(zip(names, v)))
+        self.assertEqual(cp, CriticalPair(*v))
+        moved = dataclasses.replace(cp, left_pos=(), left_rule_index=2)
+        self.assertIs(type(moved), CriticalPair)
+        self.assertEqual(moved, CriticalPair(*v[:5], (), 2, v[7]))
+        self.assertEqual(dataclasses.replace(cp), cp)
+
+    def test_pickle_and_copy_round_trip(self):
+        cp = CriticalPair(*pair_fields()[0])
+        for name, clone in [
+            ("pickle", lambda t: pickle.loads(pickle.dumps(t))),
+            ("copy", copy.copy),
+            ("deepcopy", copy.deepcopy),
+        ]:
+            with self.subTest(via=name):
+                other = clone(cp)
+                self.assertIs(type(other), CriticalPair)
+                self.assertEqual(other, cp)
+                self.assertEqual(hash(other), hash(cp))
+                self.assertEqual(repr(other), repr(cp))
 
 
 if __name__ == "__main__":

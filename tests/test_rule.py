@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from termgen import rule_strategy, term_strategy
-from trskit import rule, substitution, term
+from trskit import criticalpairs, rule, substitution, term
 from trskit.rule import InvalidRuleError, Rule, TaggedVar
 from trskit.term import Fun, Var
 
@@ -117,6 +117,24 @@ def test_tag_builds_one_variable_per_distinct_variable(monkeypatch):
     xl, yl = Var(TaggedVar("L", "x")), Var(TaggedVar("L", "y"))
     assert tagged == Rule(f(xl, f(yl, xl)), g(f(xl, yl), xl))
     assert built == ["x", "y"]
+
+
+def test_critical_pairs_build_one_variable_per_side_and_name(monkeypatch):
+    built = []
+
+    def counted(side, base, original=TaggedVar):
+        built.append((side, base))
+        return original(side, base)
+
+    monkeypatch.setattr(rule, "TaggedVar", counted)
+    rules = [Rule(f(x, y), g(x)), Rule(f(g(x), y), y), Rule(g(x), x)]
+    assert len(criticalpairs.critical_pairs(rules)) == 3
+    assert sorted(built) == [("L", "x"), ("L", "y"), ("R", "x"), ("R", "y")]
+    # `rule.tag` alone makes new nodes for each rule it tags
+    built.clear()
+    rule.tag(rules[0], "L")
+    rule.tag(rules[1], "L")
+    assert built == [("L", "x"), ("L", "y"), ("L", "x"), ("L", "y")]
 
 
 @given(rule_strategy(), rule_strategy())

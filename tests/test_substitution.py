@@ -2,7 +2,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from termgen import dag, enumerate_terms, subst_strategy, term_strategy
 from trskit import substitution, term
@@ -250,6 +250,12 @@ def assert_replays_reference(s, t):
         assert got is not None and list(got.items()) == list(want.items())
 
 
+# Bindings in solved form, which `_solve` returns as they are, and
+# bindings where only the last one chains, which it solves.
+@example(f(x, y, z), f(g(a), f(a, b), b), {})  # no image mentions a bound variable
+@example(f(x, y), f(g(y), a), {})  # only the last image mentions one
+@example(f(x, y), f(g(x), a), {})  # the cycle closes in the last binding
+@example(f(x, y, z), f(g(z), a, g(y)), {})  # x's image chains through z's to y's
 @given(terms, terms, subst_strategy())
 def test_unify_replays_the_reference(s, t, tau):
     assert_replays_reference(s, t)
@@ -298,6 +304,14 @@ def many_bindings(kind, n):
         return f(*xs[:n]), f(*xs[1:n], a), [(f"x{i}", a) for i in range(n - 1, -1, -1)]
     if kind == "chain":
         return f(*xs[:n]), f(*xs[1:]), [(f"x{i}", xs[0]) for i in range(n, 0, -1)]
+    if kind == "free_images":
+        # No image mentions a bound variable: x(i) gets g(y(i)).
+        ys = [Var(f"y{i}") for i in range(n)]
+        return f(*xs[:n]), f(*map(g, ys)), [(f"x{i}", g(ys[i])) for i in range(n - 1, -1, -1)]
+    if kind == "last_image":
+        # Only the last image mentions a bound variable: x0 gets g(x1), and
+        # every other x(i) gets a.
+        return f(*xs[:n]), f(g(xs[1]), *[a] * (n - 1)), [(f"x{i}", a) for i in range(n - 1, 0, -1)] + [("x0", g(a))]
     if kind == "image_chain":
         # Each image mentions the variable bound before it: x(i) gets
         # g^(n-i)(x(n)).
@@ -311,7 +325,7 @@ def many_bindings(kind, n):
     return f(*xs[:n]), f(*[y] * n), [("y", xs[0])] + [(f"x{i}", xs[0]) for i in range(n - 1, 0, -1)]
 
 
-@pytest.mark.parametrize("kind", ["constant", "chain", "one_variable", "image_chain"])
+@pytest.mark.parametrize("kind", ["constant", "chain", "one_variable", "image_chain", "free_images", "last_image"])
 def test_unify_many_bindings(kind):
     s, t, want = many_bindings(kind, 5)
     assert list(reference_unify(s, t).items()) == want
