@@ -6,7 +6,10 @@ for input or usage errors (told apart by the stderr message and by the
 ``status`` field of ``--json`` output).  `main` loads the problem file
 once and hands the `problem.Problem` to the command.  A failure to write
 the output is also exit 2, reported on stderr only: no JSON error
-document follows the partial output.
+document follows the partial output.  `main` flushes stdout before it
+returns, so that a failed write of buffered output is met there, and
+closes stdout after a failed write, so that the interpreter's flush at
+exit does not fail on the same text again.
 
 Commands run on the calling thread at the interpreter's recursion limit:
 the library's traversals keep their own stacks, and so does the writer of
@@ -49,12 +52,15 @@ def main(argv=None) -> int:
     except (problem.ParseError, OSError) as e:
         return _fail(args, str(e))
     try:
-        return globals()[f"cmd_{args.command}"](args, p)
+        code = globals()[f"cmd_{args.command}"](args, p)
+        sys.stdout.flush()
+        return code
     except (problem.ParseError, InvalidRuleError) as e:
         return _fail(args, str(e))
     except OSError as e:
         # The output failed part-way, so no JSON document can follow it.
         print(f"trskit: error: {e}", file=sys.stderr)
+        _close_failed_output()
         return 2
 
 
@@ -63,11 +69,23 @@ def _fail(args, message: str) -> int:
     if args.json:
         try:
             _emit_json({"status": "error", "message": message})
+            sys.stdout.flush()
         except OSError:
             # The refusal is on stderr already; the output that failed
             # cannot carry it.
-            pass
+            _close_failed_output()
     return 2
+
+
+def _close_failed_output() -> None:
+    """Close stdout after a write to it failed.  A buffered stdout keeps the
+    text it could not write, and the interpreter's flush at exit would fail
+    on it again; a closed stream is not flushed at exit.  Closing tries
+    that flush once more, and its error is the one already reported."""
+    try:
+        sys.stdout.close()
+    except OSError:
+        pass
 
 
 def _emit_json(obj) -> None:
@@ -259,7 +277,9 @@ def cmd_normalize(args, p: problem.Problem) -> int:
 
 def cmd_check_lc(args, p: problem.Problem) -> int:
     if p.weak_rules:
-        return _fail(args, "weak rules present; the local-confluence check needs a strict TRS")
+        # refused by `main`, as input errors are: `_fail` may close stdout,
+        # which `main` flushes after a command
+        raise InvalidRuleError("weak rules present; the local-confluence check needs a strict TRS")
     verdict = analysis.check_local_confluence(p.strict_rules, args.max_steps)
     if isinstance(verdict, analysis.LocallyConfluent):
         code, doc, lines = 0, {"status": "YES"}, ["YES"]

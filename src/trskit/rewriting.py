@@ -105,17 +105,16 @@ def is_normal_form(rules: Sequence[Rule], t: Term) -> bool:
 def list_properties(rules: Sequence[Rule]) -> ListProperties:
     """TRS-level aggregates: linearity-style flags hold for every rule,
     duplicating/collapsing/erasing as soon as some rule has them."""
-    checked = [_rule._validity_and_properties(r) for r in rules]
-    props = [p for _, p in checked]
+    valid, left_linear, right_linear, duplicating, erasing, collapsing, ground = _rule._flags(rules)
     return ListProperties(
-        valid=all(valid for valid, _ in checked),
-        left_linear=all(p.left_linear for p in props),
-        right_linear=all(p.right_linear for p in props),
-        linear=all(p.linear for p in props),
-        duplicating=any(p.duplicating for p in props),
-        collapsing=any(p.collapsing for p in props),
-        erasing=any(p.erasing for p in props),
-        ground=all(p.ground for p in props),
+        valid=valid,
+        left_linear=left_linear,
+        right_linear=right_linear,
+        linear=left_linear and right_linear,
+        duplicating=duplicating,
+        collapsing=collapsing,
+        erasing=erasing,
+        ground=ground,
     )
 
 

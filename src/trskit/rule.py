@@ -3,11 +3,16 @@
 Invalid rules (variable left-hand side, fresh right-hand variables) are
 representable so that parsers can report on bad input; operations that
 need validity check it when they index the rules with `index_by_root`.
+
+`Rule` is a frozen dataclass with ``__slots__`` and a hand-written
+``__init__``, as the term nodes are (see `trskit.term`): it has no
+``__dict__``, and compares, hashes and prints as the generated dataclass.
+`properties` and `rewriting.list_properties` share one pass over the
+variables of each rule, which builds no object per rule.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -19,13 +24,30 @@ class InvalidRuleError(Exception):
     """Raised when an operation requires valid rules and one is not."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rule:
+    """A frozen dataclass with ``__slots__``, built as `term.Fun` is: a parse
+    makes one for every rule and a critical-pair generation one for every
+    rule it renames, so ``__init__`` stores each side through its slot
+    setter, and pickling and copying call the constructor."""
+
+    __slots__ = ("lhs", "rhs")
     lhs: Term
     rhs: Term
 
+    def __init__(self, lhs: Term, rhs: Term) -> None:
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.lhs, self.rhs)
+
     def __str__(self) -> str:
         return render(self)
+
+
+_set_lhs = Rule.lhs.__set__
+_set_rhs = Rule.rhs.__set__
 
 
 @dataclass(frozen=True)
@@ -102,25 +124,57 @@ def index_by_root(rules: Sequence[Rule]) -> dict:
 
 
 def properties(r: Rule) -> RuleProperties:
-    return _validity_and_properties(r)[1]
-
-
-def _validity_and_properties(r: Rule) -> tuple[bool, RuleProperties]:
-    """`is_valid` and `properties` of ``r``, from one walk of each side."""
-    lhs_counts = Counter(_term.vars(r.lhs))
-    rhs_counts = Counter(_term.vars(r.rhs))
-    valid = not isinstance(r.lhs, Var) and rhs_counts.keys() <= lhs_counts.keys()
-    left_linear = all(n == 1 for n in lhs_counts.values())
-    right_linear = all(n == 1 for n in rhs_counts.values())
-    return valid, RuleProperties(
+    _, left_linear, right_linear, duplicating, erasing, collapsing, ground = _flags((r,))
+    return RuleProperties(
         left_linear=left_linear,
         right_linear=right_linear,
         linear=left_linear and right_linear,
-        duplicating=any(n > lhs_counts[v] for v, n in rhs_counts.items()),
-        erasing=any(v not in rhs_counts for v in lhs_counts),
-        collapsing=isinstance(r.rhs, Var),
-        ground=not lhs_counts and not rhs_counts,
+        duplicating=duplicating,
+        erasing=erasing,
+        collapsing=collapsing,
+        ground=ground,
     )
+
+
+def _flags(rules: Sequence[Rule]) -> tuple[bool, ...]:
+    """Whether every rule is valid, left-linear and right-linear, whether
+    some rule is duplicating, erasing and collapsing, and whether every rule
+    is ground, in one pass that lists the variables of each side once.
+
+    A rule is duplicating when some variable occurs more often on its right
+    side than on its left; occurrences are counted only when both sides
+    repeat a variable."""
+    valid = left_linear = right_linear = ground = True
+    duplicating = erasing = collapsing = False
+    for r in rules:
+        lhs, rhs = _term.vars(r.lhs), _term.vars(r.rhs)
+        lhs_vars, rhs_vars = set(lhs), set(rhs)
+        bound = rhs_vars <= lhs_vars
+        lhs_linear, rhs_linear = len(lhs) == len(lhs_vars), len(rhs) == len(rhs_vars)
+        valid = valid and bound and not isinstance(r.lhs, Var)
+        left_linear = left_linear and lhs_linear
+        right_linear = right_linear and rhs_linear
+        ground = ground and not lhs and not rhs
+        # A bound right-linear rule has each variable on the right once; a
+        # bound left-linear rule that repeats one on the right has it on the
+        # left once.
+        duplicating = duplicating or not bound or (not rhs_linear and (lhs_linear or not _fits(rhs, lhs)))
+        erasing = erasing or not lhs_vars <= rhs_vars
+        collapsing = collapsing or isinstance(r.rhs, Var)
+    return valid, left_linear, right_linear, duplicating, erasing, collapsing, ground
+
+
+def _fits(rhs: list, lhs: list) -> bool:
+    """Whether no name occurs more often in ``rhs`` than in ``lhs``."""
+    room: dict = {}
+    for v in lhs:
+        room[v] = room.get(v, 0) + 1
+    for v in rhs:
+        n = room.get(v, 0)
+        if not n:
+            return False
+        room[v] = n - 1
+    return True
 
 
 # Marker symbol used to match both sides of a rule with one substitution.

@@ -3,6 +3,8 @@ import errno
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from trskit.rule import Rule
 from trskit.term import Fun, Var
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(tmp_path, text):
@@ -223,6 +226,7 @@ class FullOutput:
         self.room = room
         self.text = []
         self.writes_after_failure = None
+        self.closed = False
 
     def write(self, text):
         if self.writes_after_failure is not None:
@@ -237,6 +241,9 @@ class FullOutput:
 
     def flush(self):
         pass
+
+    def close(self):
+        self.closed = True
 
 
 @pytest.mark.parametrize(
@@ -266,8 +273,35 @@ def test_output_failure_is_reported_once(tmp_path, capsys, argv, room):
     assert code == 2
     assert captured.err == (refusal or "trskit: error: [Errno 28] No space left on device\n")
     assert out.writes_after_failure == 0
+    # closed, so that the interpreter's exit-time flush does not retry it
+    assert out.closed
     # the document fails after some of its writes, the text in its one write
     assert bool(out.text) == (room > 0 and "--json" in argv)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("dev_mode", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--json", str(CORPUS / "peano_plus.trs")],
+        ["parse", "--json", "does-not-exist.trs"],
+        ["normalize", "--json", "--max-steps", "-1", str(CORPUS / "peano_plus.trs"), "plus(0,0)"],
+    ],
+)
+def test_buffered_output_failure_is_reported_once(argv, dev_mode):
+    # a child process with Python's default block-buffered stdout writes
+    # into its buffer without error, so the failure shows at the flush:
+    # main must meet it, and the interpreter's own flush at exit must not
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    flags = ["-X", "dev"] if dev_mode else []
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, *flags, "-m", "trskit.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert sum(line.startswith("trskit: error:") for line in done.stderr.splitlines()) == 1, done.stderr
+    assert "Exception ignored" not in done.stderr and "Traceback" not in done.stderr, done.stderr
 
 
 def test_missing_file(capsys):

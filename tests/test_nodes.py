@@ -1,6 +1,6 @@
 """The contract of the term nodes `Var`, `Fun` and `TaggedVar`, and of
-`CriticalPair`: frozen, slotted values that pickle, copy and compare as the
-dataclasses they are.
+`Rule` and `CriticalPair`: frozen, slotted values that pickle, copy and
+compare as the dataclasses they are.
 
 Standard library only, so that it runs under every supported interpreter:
 
@@ -97,6 +97,72 @@ class EqualityTest(unittest.TestCase):
         self.assertNotEqual(Var(("L", "x")), tagged)
         self.assertNotEqual(tagged, Var(TaggedVar("R", "x")))
         self.assertEqual(hash(TaggedVar("L", "x")), hash(("L", "x")))
+
+
+# The dataclass `Rule` would be without its hand-written parts.
+GeneratedRule = dataclasses.make_dataclass("Rule", [(f.name, f.type) for f in dataclasses.fields(Rule)], frozen=True)
+
+
+def rule_sides():
+    """Sides of a few rules, two of them equal but not identical."""
+    x = Var("x")
+    return [
+        (Fun("f", (x, Fun("a"))), x),
+        (Fun("f", (Var("x"), Fun("a"))), Var("x")),
+        (Fun("f", (x, Fun("a"))), Fun("a")),
+        (x, Fun("g", (Var(TaggedVar("L", "x")),))),
+    ]
+
+
+class RuleTest(unittest.TestCase):
+    def test_frozen_without_instance_dict(self):
+        r = Rule(*rule_sides()[0])
+        self.assertFalse(hasattr(r, "__dict__"))
+        for field in ("lhs", "rhs"):
+            with self.subTest(field=field):
+                with self.assertRaises(FrozenInstanceError):
+                    setattr(r, field, Fun("b"))
+                with self.assertRaises(FrozenInstanceError):
+                    delattr(r, field)
+        with self.assertRaises(FrozenInstanceError):
+            r.other = 1
+
+    def test_compares_hashes_and_prints_as_the_generated_dataclass(self):
+        values = rule_sides()
+        for v in values:
+            r, generated = Rule(*v), GeneratedRule(*v)
+            self.assertEqual(repr(r), repr(generated))
+            self.assertEqual(hash(r), hash(generated))
+            self.assertNotEqual(r, generated)
+            self.assertNotEqual(r, v)
+            for w in values:
+                self.assertEqual(Rule(*v) == Rule(*w), GeneratedRule(*v) == GeneratedRule(*w))
+        self.assertEqual(Rule(*values[0]), Rule(*values[1]))
+        self.assertNotEqual(Rule(*values[0]), Rule(*values[2]))
+
+    def test_keywords_and_replace(self):
+        lhs, rhs = rule_sides()[0]
+        r = Rule(lhs=lhs, rhs=rhs)
+        self.assertEqual(r, Rule(lhs, rhs))
+        moved = dataclasses.replace(r, rhs=Fun("b"))
+        self.assertIs(type(moved), Rule)
+        self.assertEqual(moved, Rule(lhs, Fun("b")))
+        self.assertEqual(dataclasses.replace(r), r)
+
+    def test_pickle_and_copy_round_trip(self):
+        for v in rule_sides():
+            r = Rule(*v)
+            for name, clone in [
+                ("pickle", lambda t: pickle.loads(pickle.dumps(t))),
+                ("copy", copy.copy),
+                ("deepcopy", copy.deepcopy),
+            ]:
+                with self.subTest(rule=r, via=name):
+                    other = clone(r)
+                    self.assertIs(type(other), Rule)
+                    self.assertEqual(other, r)
+                    self.assertEqual(hash(other), hash(r))
+                    self.assertEqual(repr(other), repr(r))
 
 
 # The dataclass `CriticalPair` would be without its hand-written parts.

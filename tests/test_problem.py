@@ -205,6 +205,53 @@ def test_tokenizer_law():
         assert src.offset(len(tokens)) == len(text)
 
 
+# Every character that str.isspace() accepts, beyond latin-1 too.
+SPACES = "".join(ch for ch in map(chr, range(0x110000)) if ch.isspace())
+
+
+def tokens_replay(text):
+    """`_Source` cuts the tokens that the token regex finds."""
+    assert problem._Source(text).tokens == [*problem._TOKEN.findall(text), ""], repr(text)
+
+
+TOKEN_SOUP = ["(", ")", ",", '"', "->", "->=", "f", "ab", "x", "\x00", "é", "€", "\U0001f600", "a\x00b",
+              *SPACES, "\r\n", "\x1c\x1d", "\u2028\u3000"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_SOUP), max_size=40))
+def test_tokens_replay_the_regex_on_soups(pieces):
+    tokens_replay("".join(pieces))
+
+
+def test_tokens_replay_the_regex():
+    assert len(SPACES) == 29 and "\u1680" in SPACES and "\u3000" in SPACES and "\x00" not in SPACES
+    # str.split() and the regex's \s split at the same characters: every
+    # code point between two identifier characters
+    tokens_replay("a".join(map(chr, range(0x110000))))
+    rng = random.Random(41)
+    for _ in range(3000):
+        tokens_replay("".join(rng.choice(TOKEN_SOUP) for _ in range(rng.randint(0, 60))))
+    for path in sorted(CORPUS.glob("*.trs")):
+        tokens_replay(path.read_text(encoding="latin-1"))
+    tokens_replay(big_problem_text(2000))
+    for text in ("", " ", "\x00", "(\x00)", "f(\x00,\u3000x)\u2028->\x85a"):
+        tokens_replay(text)
+
+
+def test_parse_term_takes_any_whitespace():
+    # a term from the command line is not read as latin-1, so any character
+    # that str.isspace() accepts separates its tokens, and columns count
+    # each as one
+    for ch in SPACES:
+        assert problem.parse_term(f"{ch}f({ch}a{ch},{ch}x{ch}){ch}", {"x"}) == Fun("f", (a, x)), repr(ch)
+        with pytest.raises(ParseError) as err:
+            problem.parse_term(f"a{ch}{ch}b", set())
+        where = (3, 1) if ch == "\n" else (1, 4)
+        assert (err.value.message, err.value.line, err.value.col) == ("trailing input 'b'", *where), repr(ch)
+    assert problem.parse_term("f(\u3000€,\x00)", set()) == Fun("f", (Fun("€"), Fun("\x00")))
+
+
 class CountingPattern:
     """Stands in for `problem._TOKEN` and counts its `finditer` passes and
     the matches they yield."""

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +105,91 @@ def test_list_properties_agrees_with_the_per_rule_definitions():
         assert rewriting.list_properties(rules) == want, rules
         invalid += not want.valid
     assert 50 < invalid < 450
+
+
+def reference_rule_properties(r):
+    """`rule.is_valid` and `rule.properties` of ``r``, from the variable
+    counts of each side: the per-rule definitions, kept as the reference."""
+    lhs_counts = Counter(term.vars(r.lhs))
+    rhs_counts = Counter(term.vars(r.rhs))
+    valid = not isinstance(r.lhs, Var) and rhs_counts.keys() <= lhs_counts.keys()
+    left_linear = all(n == 1 for n in lhs_counts.values())
+    right_linear = all(n == 1 for n in rhs_counts.values())
+    return valid, rule.RuleProperties(
+        left_linear=left_linear,
+        right_linear=right_linear,
+        linear=left_linear and right_linear,
+        duplicating=any(n > lhs_counts[v] for v, n in rhs_counts.items()),
+        erasing=any(v not in rhs_counts for v in lhs_counts),
+        collapsing=isinstance(r.rhs, Var),
+        ground=not lhs_counts and not rhs_counts,
+    )
+
+
+def reference_list_properties(rules):
+    """The fold of the per-rule reference over a rule list."""
+    checked = [reference_rule_properties(r) for r in rules]
+    props = [p for _, p in checked]
+    return rewriting.ListProperties(
+        valid=all(valid for valid, _ in checked),
+        left_linear=all(p.left_linear for p in props),
+        right_linear=all(p.right_linear for p in props),
+        linear=all(p.linear for p in props),
+        duplicating=any(p.duplicating for p in props),
+        collapsing=any(p.collapsing for p in props),
+        erasing=any(p.erasing for p in props),
+        ground=all(p.ground for p in props),
+    )
+
+
+RULE_KINDS = ("random", "valid", "variable left side", "fresh right variable", "collapsing", "erasing",
+              "ground", "counted")
+
+
+def rule_of_kind(rng, kind):
+    """A random rule of ``kind``; a "counted" rule has a variable ``v``
+    ``n`` times on the left and ``n`` or ``n + 1`` times on the right,
+    beside the variables of its left side."""
+    lhs, rhs = random_term(rng, 3), random_term(rng, 3)
+    w = Var("w")
+    if kind == "random":
+        return Rule(lhs, rhs)
+    if kind == "valid":
+        return random_valid_rule(rng, 3)
+    if kind == "variable left side":
+        return Rule(Var(rng.choice("xyzw")), rhs)
+    if kind == "fresh right variable":
+        return Rule(Fun("h", (lhs,)), Fun("h", (rhs, w)))
+    if kind == "collapsing":
+        return Rule(Fun("h", (lhs, w)), w)
+    if kind == "erasing":
+        return Rule(Fun("h", (lhs, w)), Fun("h", (lhs,)))
+    if kind == "ground":
+        return Rule(random_term(rng, 3, variables=()), random_term(rng, 3, variables=()))
+    rhs = random_term(rng, 3, variables=tuple(dict.fromkeys(term.vars(lhs))))
+    n = rng.randint(1, 3)
+    v = Var("v")
+    return Rule(Fun("h", (lhs, *[v] * n)), Fun("h", (rhs, *[v] * (n + rng.randint(0, 1)))))
+
+
+def test_list_properties_replay_the_per_rule_fold():
+    rng = random.Random(29)
+    assert rewriting.list_properties([]) == reference_list_properties([])
+    seen = Counter()
+    for _ in range(3000):
+        rules = [rule_of_kind(rng, rng.choice(RULE_KINDS)) for _ in range(rng.randint(0, 5))]
+        want = reference_list_properties(rules)
+        assert rewriting.list_properties(rules) == want, rules
+        seen.update((name, value) for name, value in vars(want).items())
+        for r in rules:
+            valid, props = reference_rule_properties(r)
+            assert (rule.is_valid(r), rule.properties(r)) == (valid, props), r
+            if valid and not props.left_linear and not props.right_linear:
+                # occurrences on both sides are counted
+                seen["both sides repeat", props.duplicating] += 1
+    # every flag is seen both ways, and rules that repeat a variable on both
+    # sides are seen duplicating and not
+    assert min(seen.values()) >= 200 and len(seen) == 2 * 8 + 2, seen
 
 
 def test_reduct_invariants_random():
