@@ -9,7 +9,9 @@ the output is also exit 2, reported on stderr only: no JSON error
 document follows the partial output.  `main` flushes stdout before it
 returns, so that a failed write of buffered output is met there, and
 closes stdout after a failed write, so that the interpreter's flush at
-exit does not fail on the same text again.
+exit does not fail on the same text again.  Every stderr line goes
+through `_say`, which drops a line that stderr cannot take and closes
+stderr, so that an unwritable stderr changes no exit code.
 
 Commands run on the calling thread at the interpreter's recursion limit:
 the library's traversals keep their own stacks, and so does the writer of
@@ -59,13 +61,13 @@ def main(argv=None) -> int:
         return _fail(args, str(e))
     except OSError as e:
         # The output failed part-way, so no JSON document can follow it.
-        print(f"trskit: error: {e}", file=sys.stderr)
-        _close_failed_output()
+        _say(f"trskit: error: {e}")
+        _close_failed(sys.stdout)
         return 2
 
 
 def _fail(args, message: str) -> int:
-    print(f"trskit: error: {message}", file=sys.stderr)
+    _say(f"trskit: error: {message}")
     if args.json:
         try:
             _emit_json({"status": "error", "message": message})
@@ -73,17 +75,28 @@ def _fail(args, message: str) -> int:
         except OSError:
             # The refusal is on stderr already; the output that failed
             # cannot carry it.
-            _close_failed_output()
+            _close_failed(sys.stdout)
     return 2
 
 
-def _close_failed_output() -> None:
-    """Close stdout after a write to it failed.  A buffered stdout keeps the
-    text it could not write, and the interpreter's flush at exit would fail
-    on it again; a closed stream is not flushed at exit.  Closing tries
+def _say(line: str) -> None:
+    """Print ``line`` on stderr.  A stderr that cannot take it is closed and
+    the line is lost, so the command keeps its own exit code and output."""
+    err = sys.stderr
+    if not err.closed:
+        try:
+            print(line, file=err)
+        except OSError:
+            _close_failed(err)
+
+
+def _close_failed(stream) -> None:
+    """Close ``stream`` after a write to it failed.  A buffered stream keeps
+    the text it could not write, and the interpreter's flush at exit would
+    fail on it again; a closed stream is not flushed at exit.  Closing tries
     that flush once more, and its error is the one already reported."""
     try:
-        sys.stdout.close()
+        stream.close()
     except OSError:
         pass
 
@@ -182,17 +195,17 @@ def _as_is(t: term.Term) -> term.Term:
 
 
 def _load(args) -> problem.Problem:
-    with open(args.file, encoding="latin-1") as handle:
+    with open(args.file, encoding="latin-1", newline="") as handle:
         text = handle.read()
     p = problem.parse(text, check_arity=not args.no_arity_check)
     if p.has_theory:
-        print("trskit: warning: THEORY section present; its semantics are ignored", file=sys.stderr)
+        _say("trskit: warning: THEORY section present; its semantics are ignored")
     return p
 
 
 def _warn_weak(p: problem.Problem) -> None:
     if p.weak_rules:
-        print(f"trskit: warning: ignoring {len(p.weak_rules)} weak rule(s)", file=sys.stderr)
+        _say(f"trskit: warning: ignoring {len(p.weak_rules)} weak rule(s)")
 
 
 def cmd_parse(args, p: problem.Problem) -> int:

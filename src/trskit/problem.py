@@ -27,32 +27,31 @@ Whitespace is every character that ``str.isspace()`` accepts; in the
 latin-1 text that the CLI reads, that includes ``\x1c``-``\x1f``, ``\x85``
 and ``\xa0``.  `ParseError` carries a 1-based line and column.  Only
 ``\n`` ends a line; every other character, tab and ``\r`` included, is one
-column.  An error at the end of the input points just past its last
-character.
+column.  A problem that ends too early has its error just past its last
+character; a term that ends too early, at its last token.
 
 The reader works on the tokens as plain strings: the text with a space
 put on either side of each parenthesis, comma and double quote, cut by one
-``str.split()``.  That split and the ``\s`` of the token regex both take
-whitespace to be what ``str.isspace()`` accepts, so the tokens are those
-the regex finds, at about a third of its cost.  A section other than
-``VAR`` and ``STRATEGY`` ends at the first token from its body on where
-the nesting depth, summed once over all tokens, is back to 0; a section
-left open ends at the end of the input.  The offset of a token in the
-text is computed only when an error or the raw text of a preserved
-section needs it, by matching the regex from whichever end of the text is
-nearer, so a section after a long ``RULES`` costs the tokens after it, not
-those before it.  One parse builds one node per variable or constant name
-and shares it among the occurrences of that name (`trskit.term` allows
-shared subterms); arities are still checked at every occurrence.
+``str.split()``.  A section other than ``VAR`` and ``STRATEGY`` ends at
+the first token from its body on where the nesting depth, summed once
+over all tokens, is back to 0; a section left open ends at the end of the
+input.  The offset of a token in the text is computed only when an error
+or the raw text of a preserved section needs it.  Only whitespace lies
+between two tokens, so a token is found by searching for its string from
+the end of the token before it, or back from the start of the token
+after it, whichever end of the text is nearer; a section after a long
+``RULES`` costs the tokens after it, not those before it.  One parse
+builds one node per variable or constant name and shares it among the
+occurrences of that name (`trskit.term` allows shared subterms); arities
+are still checked at every occurrence.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from . import rule as _rule, term as _term
 from .rewriting import Strategy
@@ -87,9 +86,6 @@ class Problem:
         )
 
 
-# A token is a special character or a maximal run of other non-whitespace.
-# `_Source` cuts the tokens with `str.split` and finds their offsets with this.
-_TOKEN = re.compile(r'\s*([(),"]|[^\s(),"]+)')
 _ARROWS = ("->", "->=")
 # Tokens that are not identifiers, and the sentinel "" that ends a token list.
 _NOT_IDENT = frozenset(("(", ")", ",", '"', *_ARROWS, ""))
@@ -104,15 +100,13 @@ class _Source:
     """The tokens of ``text``, as strings ended by the sentinel ``""``, and
     their offsets in ``text``, found only when asked for.
 
-    The tokens are ``_TOKEN.findall(text)``, cut by `str.split` instead.
     No token is ``""``, so reading one or two tokens ahead of any token but
-    the sentinel needs no bounds check.  A token's offset is counted from
-    whichever end of the text is nearer.  Tokens are set by character
-    classes alone, so the reversed text has the same tokens, reversed and
-    in reverse order, and its `finditer` reaches the last tokens first.
-    Each direction has one `finditer` pass, which resumes where the last
-    request left it and keeps the offsets it has passed, so no match is
-    pulled twice.
+    the sentinel needs no bounds check.  Only whitespace lies between two
+    tokens and no token holds any, so a token is the first occurrence of
+    its string after the end of the token before it, and the last one
+    before the start of the token after it.  A token's offset is found
+    that way from whichever end of the text is nearer; each end keeps the
+    offsets it has found and resumes from the last of them.
     """
 
     def __init__(self, text: str):
@@ -121,30 +115,35 @@ class _Source:
         self.tokens: list[str] = spaced.split()
         self._count = len(self.tokens)
         self.tokens.append("")
-        # Offsets of the first tokens, and (in the reversed text) ends of
-        # the last tokens, with the passes that find more.
+        # Offsets of the first tokens and the end of the last of them, and
+        # offsets of the last tokens, counted from the end.
         self._head: list[int] = []
+        self._end = 0
         self._tail: list[int] = []
-        self._ahead: Optional[Iterator[re.Match]] = None
-        self._behind: Optional[Iterator[re.Match]] = None
 
     def offset(self, i: int) -> int:
         """Offset of the ``i``-th token of the text; ``len(text)`` if there
         are not that many."""
         k = self._count - 1 - i  # the same token, counted from the end
+        text, tokens = self.text, self.tokens
         if k < 0:
-            return len(self.text)
+            return len(text)
+        # `parse` blanks the ")" that ends RULES; a "" below the sentinel is that.
         if i <= k:
-            if len(self._head) <= i:
-                if self._ahead is None:
-                    self._ahead = _TOKEN.finditer(self.text)
-                self._head += map(re.Match.start, islice(self._ahead, i + 1 - len(self._head)), repeat(1))
-            return self._head[i]
-        if len(self._tail) <= k:
-            if self._behind is None:
-                self._behind = _TOKEN.finditer(self.text[::-1])
-            self._tail += map(re.Match.end, islice(self._behind, k + 1 - len(self._tail)), repeat(1))
-        return len(self.text) - self._tail[k]
+            head, end = self._head, self._end
+            for word in tokens[len(head) : i + 1]:
+                word = word or ")"
+                end = text.find(word, end)
+                head.append(end)
+                end += len(word)
+            self._end = end
+            return head[i]
+        tail = self._tail
+        start = tail[-1] if tail else len(text)
+        for word in reversed(tokens[i : self._count - len(tail)]):
+            start = text.rfind(word or ")", 0, start)
+            tail.append(start)
+        return tail[k]
 
     def error(self, message: str, i: int) -> ParseError:
         """A `ParseError` at token ``i``."""

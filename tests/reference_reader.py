@@ -20,7 +20,7 @@ from trskit.term import Fun, Term, Var
 # A token is a special character or a maximal run of other non-whitespace;
 # its kind is lparen, rparen, comma, quote, arrow or ident.
 _KINDS = {"(": "lparen", ")": "rparen", ",": "comma", '"': "quote", "->": "arrow", "->=": "arrow"}
-_TOKEN = re.compile(r'\s*([(),"]|[^\s(),"]+)')
+TOKEN = re.compile(r'\s*([(),"]|[^\s(),"]+)')
 
 _STRATEGY_NAMES = {
     "FULL": Strategy.FULL,
@@ -31,7 +31,7 @@ _STRATEGY_NAMES = {
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """``(kind, text, offset)`` for every token of ``text``, in order."""
-    return [(_KINDS.get(m[1], "ident"), m[1], m.start(1)) for m in _TOKEN.finditer(text)]
+    return [(_KINDS.get(m[1], "ident"), m[1], m.start(1)) for m in TOKEN.finditer(text)]
 
 
 def _error(text: str, message: str, off: int) -> ParseError:

@@ -279,6 +279,17 @@ def test_output_failure_is_reported_once(tmp_path, capsys, argv, room):
     assert bool(out.text) == (room > 0 and "--json" in argv)
 
 
+def run_child(argv, *, stdout, stderr, buffered=True, flags=()):
+    """Run the CLI in a child process; ``buffered`` leaves Python's default
+    block-buffered stdout, as a shell would."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *flags, "-m", "trskit.cli", *argv], stdout=stdout,
+                          stderr=stderr, env=env, text=True, timeout=60)
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize("dev_mode", [False, True])
 @pytest.mark.parametrize(
@@ -293,15 +304,69 @@ def test_buffered_output_failure_is_reported_once(argv, dev_mode):
     # a child process with Python's default block-buffered stdout writes
     # into its buffer without error, so the failure shows at the flush:
     # main must meet it, and the interpreter's own flush at exit must not
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    flags = ["-X", "dev"] if dev_mode else []
     with open("/dev/full", "w") as full:
-        done = subprocess.run([sys.executable, *flags, "-m", "trskit.cli", *argv], stdout=full,
-                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        done = run_child(argv, stdout=full, stderr=subprocess.PIPE, flags=["-X", "dev"] if dev_mode else [])
     assert done.returncode == 2, done.stderr
     assert sum(line.startswith("trskit: error:") for line in done.stderr.splitlines()) == 1, done.stderr
     assert "Exception ignored" not in done.stderr and "Traceback" not in done.stderr, done.stderr
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        # a warning that cannot be written: the command's own code and output
+        (["parse", str(CORPUS / "peano_plus.trs")], "pipe"),
+        (["cps", str(CORPUS / "relative_pair.trs")], "pipe"),
+        # refusals
+        (["parse", "does-not-exist.trs"], "pipe"),
+        (["check-lc", str(CORPUS / "relative_pair.trs")], "pipe"),
+        (["check-lc", "--json", str(CORPUS / "relative_pair.trs")], "pipe"),
+        # output failures, with nowhere to report them
+        (["parse", "--json", str(CORPUS / "dup_erase.trs")], "full"),
+        # both streams into one pipe whose reader has gone, as in `2>&1 | head`
+        (["cps", str(CORPUS / "relative_pair.trs")], "closed"),
+    ],
+)
+def test_unwritable_stderr_changes_no_exit_code(capsys, argv, stdout, buffered):
+    # a line that stderr cannot take is lost; it is neither a traceback
+    # with exit 1, the code of a NO verdict, nor exit 120 from the
+    # interpreter's flush at exit
+    want_code, want_out, _ = run(capsys, *argv)
+    with contextlib.ExitStack() as stack:
+        full = stack.enter_context(open("/dev/full", "w"))
+        if stdout == "closed":
+            reader, writer = os.pipe()
+            os.close(reader)
+            stack.callback(os.close, writer)
+            done = run_child(argv, stdout=writer, stderr=writer, buffered=buffered)
+        else:
+            done = run_child(argv, stdout=subprocess.PIPE if stdout == "pipe" else full, stderr=full,
+                             buffered=buffered)
+    if stdout == "pipe":
+        assert (done.returncode, done.stdout) == (want_code, want_out)
+    else:
+        assert done.returncode == 2
+
+
+def test_files_are_read_without_newline_translation(tmp_path, capsys):
+    # the CLI reads the text that `problem.parse` is given: a lone \r is
+    # one column, not a line end, and a preserved section keeps its \r\n
+    path = tmp_path / "system.trs"
+    bad = "(VAR x)\r(RULES\rf(x) -> \r)\r"
+    path.write_bytes(bad.encode("latin-1"))
+    with pytest.raises(problem.ParseError) as err:
+        problem.parse(bad)
+    assert str(err.value) == "1:25: unexpected end of input"
+    assert run(capsys, "parse", str(path)) == (2, "", f"trskit: error: {err.value}\n")
+    good = "(VAR x)\r\n(RULES\r\nf(x) -> x\r\n)\r\n(SIG f/1\r\ng/0)\r\n(COMMENT one\r\ntwo\r\n)\r\n"
+    path.write_bytes(good.encode("latin-1"))
+    p = problem.parse(good)
+    assert p.preserved_sections == (("SIG", " f/1\r\ng/0"),) and p.comment == "one\r\ntwo"
+    assert run(capsys, "parse", str(path)) == (0, problem.render(p), "")
+    code, out, _ = run(capsys, "parse", "--json", str(path))
+    assert (code, json.loads(out)) == (0, problem.to_json(p))
 
 
 def test_missing_file(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import termgen
-from reference_reader import reference_parse, reference_parse_term
+from reference_reader import TOKEN, reference_parse, reference_parse_term
 from trskit import problem, term
 from trskit.problem import ParseError, Problem
 from trskit.rewriting import Strategy
@@ -211,7 +211,7 @@ SPACES = "".join(ch for ch in map(chr, range(0x110000)) if ch.isspace())
 
 def tokens_replay(text):
     """`_Source` cuts the tokens that the token regex finds."""
-    assert problem._Source(text).tokens == [*problem._TOKEN.findall(text), ""], repr(text)
+    assert problem._Source(text).tokens == [*TOKEN.findall(text), ""], repr(text)
 
 
 TOKEN_SOUP = ["(", ")", ",", '"', "->", "->=", "f", "ab", "x", "\x00", "é", "€", "\U0001f600", "a\x00b",
@@ -252,23 +252,23 @@ def test_parse_term_takes_any_whitespace():
     assert problem.parse_term("f(\u3000€,\x00)", set()) == Fun("f", (Fun("€"), Fun("\x00")))
 
 
-class CountingPattern:
-    """Stands in for `problem._TOKEN` and counts its `finditer` passes and
-    the matches they yield."""
+class CountingText(str):
+    """A text that counts the token lookups made in it: `find` from the head
+    and `rfind` from the tail.  No token holds a newline, so a search for
+    one places an error on its line, and is not counted."""
 
-    def __init__(self, pattern):
-        self.pattern = pattern
-        self.passes = 0
-        self.matches = 0
+    def __new__(cls, text):
+        self = super().__new__(cls, text)
+        self.ahead = self.behind = 0
+        return self
 
-    def findall(self, text):
-        return self.pattern.findall(text)
+    def find(self, sub, *args):
+        self.ahead += sub != "\n"
+        return super().find(sub, *args)
 
-    def finditer(self, text):
-        self.passes += 1
-        for m in self.pattern.finditer(text):
-            self.matches += 1
-            yield m
+    def rfind(self, sub, *args):
+        self.behind += sub != "\n"
+        return super().rfind(sub, *args)
 
 
 def big_problem_text(n_rules, rule=lambda k: f"f(x,g{k}(y)) -> g{k}(x)"):
@@ -277,40 +277,42 @@ def big_problem_text(n_rules, rule=lambda k: f"f(x,g{k}(y)) -> g{k}(x)"):
     return f"(VAR x y)\n(RULES\n{rules}\n)\n(STRATEGY FULL)(THEORY (AC f))\n(SIGNATURE f/2 g/1)\n(COMMENT big)\n"
 
 
-def test_offsets_are_computed_on_demand(monkeypatch):
-    token = CountingPattern(problem._TOKEN)
-    monkeypatch.setattr(problem, "_TOKEN", token)
+def test_offsets_are_computed_on_demand():
     # no error and no preserved section: no offset at all
-    problem.parse("(VAR x y)\n(RULES\nf(x,y) -> f(y,x)\na ->= b\n)\n(STRATEGY FULL)\n")
-    problem.parse_term("f(x,a)", {"x"})
-    problem.parse(big_problem_text(2000).split("(THEORY")[0])
-    assert token.passes == 0
-    # sections after 2000 rules are read from the end of the text: they pull
-    # about as many matches as there are tokens after RULES, not 30 000
+    for read, text in (
+        (problem.parse, "(VAR x y)\n(RULES\nf(x,y) -> f(y,x)\na ->= b\n)\n(STRATEGY FULL)\n"),
+        (problem.parse, big_problem_text(2000).split("(THEORY")[0]),
+        (lambda t: problem.parse_term(t, {"x"}), "f(x,a)"),
+    ):
+        counted = CountingText(text)
+        read(counted)
+        assert counted.ahead == counted.behind == 0
+    # sections after 2000 rules are read from the end of the text: they look
+    # up about as many tokens as there are after RULES, not 30 000
     text = big_problem_text(2000)
-    after_rules = len(problem._TOKEN.findall(text[text.index("\n)\n") + 2 :]))
-    p = problem.parse(text)
+    after_rules = len(TOKEN.findall(text[text.index("\n)\n") + 2 :]))
+    counted = CountingText(text)
+    p = problem.parse(counted)
     assert p.preserved_sections == (("THEORY", " (AC f)"), ("SIGNATURE", " f/2 g/1"))
     assert p.comment == "big"
-    assert token.passes == 1
-    assert token.matches <= after_rules + 2
-    # an error in the first rule is found from the start, and one in the
-    # last rule, after the sections were read, from the end again
-    for k, message, line, passes in ((0, "2 here, 1 before", 4, 2), (1999, "1 here, 2 before", 2002, 1)):
-        token.passes = token.matches = 0
-        bad = big_problem_text(2000, lambda i: f"f(x,g{i}(y)) -> g{i}(x)" if i != k else "f(x) -> x")
+    assert counted.ahead == 0
+    assert 0 < counted.behind <= after_rules + 2
+    # an error in the first rule is found from the head, and one in the last
+    # rule, after the sections were read, from the tail again
+    for k, message, line in ((0, "2 here, 1 before", 4), (1999, "1 here, 2 before", 2002)):
+        bad = CountingText(big_problem_text(2000, lambda i: f"f(x,g{i}(y)) -> g{i}(x)" if i != k else "f(x) -> x"))
         with pytest.raises(ParseError) as err:
             problem.parse(bad)
         assert (err.value.message, err.value.line, err.value.col) == (f"inconsistent arity for 'f': {message}", line, 1)
-        assert token.passes == passes
-        assert token.matches <= after_rules + 20
+        assert (bad.ahead > 0) == (k == 0)
+        assert 0 < bad.behind and bad.ahead + bad.behind <= after_rules + 20
 
 
 def offsets_replay(text):
     """Ask `_Source.offset` for every token of ``text``, and for the end, in
     ascending, descending and shuffled order, each on a fresh source, and
-    compare with a plain forward `finditer`."""
-    want = [m.start(1) for m in problem._TOKEN.finditer(text)] + [len(text)]
+    compare with a forward `finditer` of the reference regex."""
+    want = [m.start(1) for m in TOKEN.finditer(text)] + [len(text)]
     order = list(range(len(want)))
     shuffled = order[:]
     random.Random(text).shuffle(shuffled)
@@ -320,7 +322,7 @@ def offsets_replay(text):
 
 
 OFFSET_SOUP = ["(", ")", ",", '"', "->", "f", "ab", "x", " ", "\n", "\t", "\r", "\r\n", "\xa0", "\x85",
-               "\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x0c", "é", "a\xa0b", "RULES"]
+               "\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x0c", "é", "a\xa0b", "RULES", "€", "\U0001f600", *SPACES]
 
 
 @settings(max_examples=500, deadline=None)
@@ -338,8 +340,10 @@ def test_offsets_replay_a_forward_pass_on_seeded_soups():
         offsets_replay(text.strip())
     for path in sorted(CORPUS.glob("*.trs")):
         offsets_replay(path.read_text(encoding="latin-1"))
+    offsets_replay(big_problem_text(2000))
     offsets_replay("")
     offsets_replay(" \n\xa0")
+    offsets_replay(SPACES.join("ab(),"))
 
 
 def test_rule_errors_reported_after_a_later_section():
@@ -365,10 +369,10 @@ def test_rule_errors_reported_after_a_later_section():
 def spoiled_rules(rng, text, body):
     """``text`` with one token of ``body``, the text inside its RULES, dropped,
     doubled or replaced."""
-    tokens = problem._TOKEN.findall(text)
-    spans = [m.span(1) for m in problem._TOKEN.finditer(text)]
+    tokens = TOKEN.findall(text)
+    spans = [m.span(1) for m in TOKEN.finditer(text)]
     first = tokens.index("RULES") + 1
-    start, end = spans[rng.randrange(first, first + len(problem._TOKEN.findall(body)))]
+    start, end = spans[rng.randrange(first, first + len(TOKEN.findall(body)))]
     kind = rng.randrange(3)
     if kind == 0:
         return text[:start] + text[end:]
@@ -452,8 +456,8 @@ def generated_file(rng):
 
 def spoiled(rng, text):
     """``text`` with one token dropped, doubled or replaced, or one arity changed."""
-    tokens = problem._TOKEN.findall(text)
-    spans = [m.span(1) for m in problem._TOKEN.finditer(text)]
+    tokens = TOKEN.findall(text)
+    spans = [m.span(1) for m in TOKEN.finditer(text)]
     k = rng.randrange(len(tokens))
     start, end = spans[k]
     kind = rng.randrange(4)
