@@ -28,7 +28,8 @@ hit the step budget stay unresolved, and make the verdict Unknown unless a
 later pair yields a witness.  Two rules that overlap at the root give two
 pairs, each the other with its sides swapped up to a renaming of
 variables, so they have the same outcome: each root overlap is joined
-once, and counts as two unresolved pairs when it stays unresolved.
+once, when its first pair comes, and the second pair is never built; it
+counts as two unresolved pairs when it stays unresolved.
 A terminating system that is locally confluent is confluent, but
 termination itself is not checked here.
 """
@@ -225,27 +226,24 @@ def check_local_confluence(rules: Sequence[Rule], max_steps: int) -> ConfluenceV
     first pair whose sides reach distinct normal forms ends the check and is
     the witness of the NO; pairs after it are never built.
 
-    Of the two pairs of a root overlap only the first is joined: the second
-    is its mirror, up to a renaming of variables (mgus are unique up to
-    renaming, and `nf` commutes with renaming), so it can be neither the
-    first NO nor joined differently.  ``Unknown.unresolved`` still counts
-    both pairs of an unresolved root overlap.
+    Of the two pairs of a root overlap only the first is built and joined:
+    the second is its mirror, up to a renaming of variables (mgus are unique
+    up to renaming, and `nf` commutes with renaming), so it can be neither
+    the first NO nor joined differently, and its unifier is never computed.
+    ``Unknown.unresolved`` still counts both pairs of an unresolved root
+    overlap.
     """
     by_root = _rule.index_by_root(rules)
     unresolved = 0
-    for cp in _cp._pairs(rules, by_root, _cp.Scope.ALL):
-        root = not cp.left_pos
-        if root and cp.left_rule_index < cp.right_rule_index:
-            # The mirror of the root pair (right_rule_index, left_rule_index),
-            # joined already with the same outcome.
-            continue
+    for cp in _cp._pairs(rules, by_root, _cp.Scope.ALL, mirrors=False):
         left = _nf(by_root, cp.left, max_steps)
         right = _nf(by_root, cp.right, max_steps)
         if left.reached_normal_form and right.reached_normal_form:
             if left.term != right.term:
                 return NotConfluent(cp, left.term, right.term)
         else:
-            unresolved += 2 if root else 1
+            # An unresolved root pair stands for its mirror too.
+            unresolved += 1 if cp.left_pos else 2
     if unresolved:
         return Unknown(unresolved)
     return LocallyConfluent()

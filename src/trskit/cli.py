@@ -11,7 +11,9 @@ returns, so that a failed write of buffered output is met there, and
 closes stdout after a failed write, so that the interpreter's flush at
 exit does not fail on the same text again.  Every stderr line goes
 through `_say`, which drops a line that stderr cannot take and closes
-stderr, so that an unwritable stderr changes no exit code.
+stderr, so that an unwritable stderr changes no exit code.  The help and
+usage text that argparse writes itself is flushed in `main` too: a usage
+error keeps exit 2, and help that stdout cannot take is exit 2.
 
 Commands run on the calling thread at the interpreter's recursion limit:
 the library's traversals keep their own stacks, and so does the writer of
@@ -46,7 +48,15 @@ _STRATEGY_FLAGS = {
 
 
 def main(argv=None) -> int:
-    args = _arg_parser().parse_args(argv)
+    try:
+        args = _arg_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse wrote its help or usage text itself, past `_say`.
+        return _parser_exit(e.code)
+    except OSError as e:
+        # Before Python 3.11, argparse lets a failed write of its text escape.
+        _say(f"trskit: error: {e}")
+        return _parser_exit(2)
     if getattr(args, "max_steps", 0) < 0:
         return _fail(args, f"--max-steps must be at least 0, not {args.max_steps}")
     try:
@@ -77,6 +87,24 @@ def _fail(args, message: str) -> int:
             # cannot carry it.
             _close_failed(sys.stdout)
     return 2
+
+
+def _parser_exit(code) -> int:
+    """``code``, once the text argparse wrote is flushed; exit 2 if stdout
+    cannot take it.  A stream whose flush fails is closed, so that the
+    interpreter's flush at exit does not fail on it again."""
+    try:
+        sys.stdout.flush()
+    except OSError as e:
+        _say(f"trskit: error: {e}")
+        _close_failed(sys.stdout)
+        code = 2
+    if not sys.stderr.closed:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            _close_failed(sys.stderr)
+    return code
 
 
 def _say(line: str) -> None:

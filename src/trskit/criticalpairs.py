@@ -11,8 +11,11 @@ as their annotations differ.
 The peak and both reducts live in the tagged namespace of `rule.tag`,
 which `rule.rename_apart` also uses; rendering and JSON output rename
 variables to ``x1, x2, ...`` by first occurrence in preorder over (top,
-left, right).  One generation makes one variable node per name and side
-for all the rules it tags, and one `CriticalPair` per overlap.
+left, right).  One generation tags only the left-hand sides, with one
+variable node per name and side for all the rules.  Each reduct is built
+from the right-hand side of the rule as listed, in one walk that puts the
+mgu's image of each variable's tagged node in its place, so no right side
+is tagged and then substituted; and one `CriticalPair` is made per overlap.
 """
 
 from __future__ import annotations
@@ -83,25 +86,30 @@ def critical_pairs(rules: Sequence[Rule], scope: Scope = Scope.ALL) -> list[Crit
     return list(_pairs(rules, _rule.index_by_root(rules), scope))
 
 
-def _pairs(rules: Sequence[Rule], by_root: dict, scope: Scope):
+def _pairs(rules: Sequence[Rule], by_root: dict, scope: Scope, *, mirrors: bool = True):
     """The critical pairs of the valid ``rules``, indexed in ``by_root`` by
     `rule.index_by_root`, one at a time in the order of `critical_pairs`,
-    so that a caller can stop at any of them.
+    so that a caller can stop at any of them.  Without ``mirrors``, a root
+    pair whose left rule index is below its right one, the mirror of the
+    root pair before it, is neither unified nor built.
 
-    Each rule is tagged as `rule.tag` does, with one node per variable name
-    and side for all the rules."""
+    Each left-hand side is tagged as `rule.tag` does, with one node per
+    variable name and side for all the rules; each reduct is instantiated
+    from the right-hand side of the rule as listed, in one walk that sends
+    each variable to the mgu's image of its tagged node."""
     # Looked up once per call, through the modules, so that a function
     # replaced there before the call is the one called.
     unify, apply = substitution.unify, substitution.apply
     replace_at, of_path = _term.replace_at, _position.of_path
-    tag_left, tag_right = _rule._tagger("L"), _rule._tagger("R")
-    # Rule i's variant on the left side, made when it is first tried;
-    # TaggedVar compares by value, so one variant serves every overlap.
-    left_variants: dict = {}
+    tag_left, instantiate_left = _rule._tagger("L")
+    tag_right, instantiate_right = _rule._tagger("R")
+    # Rule i's tagged left side, made when it is first tried; TaggedVar
+    # compares by value, so one variant serves every overlap.
+    left_sides: dict = {}
     for j, outer in enumerate(rules):
-        rho2 = tag_right(outer)
+        outer_lhs = tag_right(outer.lhs)
         # A preorder walk of the left-hand side, with `position.of_path` paths.
-        stack: list = [(rho2.lhs, None)]
+        stack: list = [(outer_lhs, None)]
         while stack:
             overlapped, path = stack.pop()
             if isinstance(overlapped, Var):
@@ -114,18 +122,18 @@ def _pairs(rules: Sequence[Rule], by_root: dict, scope: Scope):
             # Only rules whose left-hand side has the overlapped root symbol
             # can unify with it.
             for i, inner in by_root.get(overlapped.symbol, ()):
-                if path is None and i == j:
+                if path is None and (i == j or i < j and not mirrors):
                     continue
-                rho1 = left_variants.get(i)
-                if rho1 is None:
-                    rho1 = left_variants[i] = tag_left(inner)
-                sigma = unify(rho1.lhs, overlapped)
+                inner_lhs = left_sides.get(i)
+                if inner_lhs is None:
+                    inner_lhs = left_sides[i] = tag_left(inner.lhs)
+                sigma = unify(inner_lhs, overlapped)
                 if sigma is None:
                     continue
                 p = of_path(path)
-                top = apply(sigma, rho2.lhs)
-                left = replace_at(top, p, apply(sigma, rho1.rhs))
-                right = apply(sigma, rho2.rhs)
+                top = apply(sigma, outer_lhs)
+                left = replace_at(top, p, instantiate_left(inner.rhs, sigma))
+                right = instantiate_right(outer.rhs, sigma)
                 yield CriticalPair(top, left, right, inner, outer, p, i, j)
 
 

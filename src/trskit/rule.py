@@ -202,15 +202,23 @@ def tag(r: Rule, side: str) -> Rule:
 
     Each side is renamed in one walk; each variable's new node is made when
     it is first met and used for all its occurrences.  Each call makes new
-    nodes; `criticalpairs` tags all the rules of one generation with one
-    node per variable name and side."""
-    return _tagger(side)(r)
+    nodes; `criticalpairs` tags the left-hand sides of one generation with
+    one node per variable name and side."""
+    tag_term, _ = _tagger(side)
+    return Rule(tag_term(r.lhs), tag_term(r.rhs))
 
 
 def _tagger(side: str):
-    """A function that tags rules as `tag` does, and makes one new node per
-    variable name for all the rules it tags: the nodes are values, so the
-    variants are those `tag` makes, with fewer nodes."""
+    """Two functions over one table of new nodes, one per variable name, so
+    that the variants are those `tag` makes, with fewer nodes (the nodes
+    are values):
+
+    * ``tag_term(t)`` renames the variables of ``t`` as `tag` does;
+    * ``instantiate(t, sigma)`` is ``apply(sigma, tag_term(t))`` in one
+      walk, for a ``t`` whose variables ``tag_term`` has met already, such
+      as the right-hand side of a valid rule whose left side it tagged.
+      The image of a variable is ``sigma``'s image of its tagged node, or
+      that node itself."""
     renamed: dict = {}
 
     def rename(name: Any, _: Var) -> Var:
@@ -219,10 +227,19 @@ def _tagger(side: str):
             v = renamed[name] = Var(TaggedVar(side, name))
         return v
 
-    def tag_rule(r: Rule) -> Rule:
-        return Rule(substitution._replace_vars(r.lhs, rename), substitution._replace_vars(r.rhs, rename))
+    def tag_term(t: Term) -> Term:
+        return substitution._replace_vars(t, rename)
 
-    return tag_rule
+    def instantiate(t: Term, sigma: dict) -> Term:
+        image = sigma.get
+
+        def instance(name: Any, _: Var) -> Term:
+            v = renamed[name]
+            return image(v.name, v)
+
+        return substitution._replace_vars(t, instance)
+
+    return tag_term, instantiate
 
 
 def render(r: Rule) -> str:

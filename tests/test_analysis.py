@@ -293,16 +293,56 @@ def test_check_lc_replays_the_reference_on_root_overlaps():
     assert kinds == {LocallyConfluent, NotConfluent, Unknown}
 
 
+def count_calls(monkeypatch, module, name):
+    """The list that gets one entry per call of ``module.name`` from now on."""
+    calls = []
+    function = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or function(*args))
+    return calls
+
+
 def test_check_lc_joins_each_root_overlap_once(monkeypatch):
     # a -> f(a) and a -> b overlap at the root only: two mirror pairs, one
-    # join of two sides, and both pairs unresolved.
+    # unifier, one join of two sides, and both pairs unresolved.
     rules = problem.parse((CORPUS / "diverging_choice.trs").read_text()).strict_rules
     assert len(criticalpairs.critical_pairs(rules)) == 2
-    calls = []
-    nf = analysis._nf
-    monkeypatch.setattr(analysis, "_nf", lambda *args: calls.append(1) or nf(*args))
+    nf_calls = count_calls(monkeypatch, analysis, "_nf")
+    unify_calls = count_calls(monkeypatch, substitution, "unify")
     assert analysis.check_local_confluence(rules, 50) == Unknown(2)
-    assert len(calls) == 2
+    assert len(nf_calls) == 2
+    assert len(unify_calls) == 1
+
+
+def candidate_overlaps(rules):
+    """The (outer rule, position, inner rule) triples whose root symbols
+    agree, in the order `check_local_confluence` meets them, without the
+    mirror root pairs: at the root, only inner rules after the outer one."""
+    for j, outer in enumerate(rules):
+        for p in term.positions(outer.lhs):
+            s = term.subterm_at(outer.lhs, p)
+            if isinstance(s, Var):
+                continue
+            for i, inner in enumerate(rules):
+                if inner.lhs.symbol == s.symbol and (p != () or i > j):
+                    yield j, p, i
+
+
+def test_check_lc_unifies_each_candidate_overlap_once_but_no_mirror(monkeypatch):
+    rng = random.Random(303)
+    calls = count_calls(monkeypatch, substitution, "unify")
+    kinds = set()
+    for _ in range(300):
+        rules = root_overlapping_system(rng)
+        for budget in (0, 8):
+            calls.clear()
+            verdict = analysis.check_local_confluence(rules, budget)
+            want = list(candidate_overlaps(rules))
+            if isinstance(verdict, NotConfluent):
+                cp = verdict.witness
+                want = want[: want.index((cp.right_rule_index, cp.left_pos, cp.left_rule_index)) + 1]
+            assert len(calls) == len(want), (rules, budget)
+            kinds.add(type(verdict))
+    assert kinds == {LocallyConfluent, NotConfluent, Unknown}
 
 
 def test_check_lc_replays_the_reference_on_the_corpus():
@@ -318,9 +358,7 @@ def test_check_lc_stops_at_the_first_no(monkeypatch):
     # at the root, 40 * 39 pairs after it.
     rules = [Rule(f(a), b), Rule(a, c)] + [Rule(h(x), Fun(f"c{k}")) for k in range(40)]
     assert len(criticalpairs.critical_pairs(rules)) == 1 + 40 * 39
-    calls = []
-    unify = substitution.unify
-    monkeypatch.setattr(substitution, "unify", lambda s, t: calls.append(1) or unify(s, t))
+    calls = count_calls(monkeypatch, substitution, "unify")
     verdict = analysis.check_local_confluence(rules, 10)
     assert isinstance(verdict, NotConfluent)
     cp = verdict.witness

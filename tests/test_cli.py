@@ -350,6 +350,46 @@ def test_unwritable_stderr_changes_no_exit_code(capsys, argv, stdout, buffered):
         assert done.returncode == 2
 
 
+ARGPARSE_EXITS = [
+    ["--help"],
+    ["cps", "--help"],
+    ["bogus"],
+    ["parse", str(CORPUS / "peano_plus.trs"), "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_EXITS)
+def test_argparse_text_and_exit_code_are_its_own(monkeypatch, capsys, argv):
+    # help and usage errors are written by argparse itself; main returns
+    # its exit code, with the text byte for byte as argparse writes it
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        cli._arg_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    want = (exited.value.code, captured.out, captured.err)
+    assert want[0] == (0 if "--help" in argv else 2)
+    assert run(capsys, *argv) == want
+    done = run_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert (done.returncode, done.stdout, done.stderr) == want
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", ARGPARSE_EXITS)
+def test_argparse_output_failure_is_not_exit_120(argv):
+    # under Python's default buffering argparse's text fails only at a
+    # flush, which main must meet before the interpreter's flush at exit
+    # does: a usage error keeps exit 2, and help that stdout cannot take
+    # is exit 2 with one error line
+    with open("/dev/full", "w") as full:
+        if "--help" in argv:
+            done = run_child(argv, stdout=full, stderr=subprocess.PIPE)
+            assert done.stderr == "trskit: error: [Errno 28] No space left on device\n"
+        else:
+            done = run_child(argv, stdout=subprocess.PIPE, stderr=full)
+            assert done.stdout == ""
+    assert done.returncode == 2
+
+
 def test_files_are_read_without_newline_translation(tmp_path, capsys):
     # the CLI reads the text that `problem.parse` is given: a lone \r is
     # one column, not a line end, and a preserved section keeps its \r\n

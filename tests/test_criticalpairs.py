@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from termgen import brute_force_overlaps, root_overlapping_system, rule_strategy
-from trskit import analysis, criticalpairs, problem, rewriting, rule, term
+from trskit import analysis, criticalpairs, problem, rewriting, rule, substitution, term
 from trskit.criticalpairs import Scope
 from trskit.rule import InvalidRuleError, Rule
 from trskit.term import Fun, Var
@@ -110,6 +110,57 @@ def test_requires_valid_rules():
 def test_overlap_enumeration_matches_oracle(rules):
     cps = criticalpairs.critical_pairs(rules)
     assert _pair_signature(cps) == brute_force_overlaps(rules)
+
+
+def reference_critical_pairs(rules, scope):
+    """`criticalpairs.critical_pairs` as it was built: each pair of rules
+    renamed apart by `rule.rename_apart`, and the mgu applied to both tagged
+    sides, for every (outer rule, position, inner rule) in that order."""
+    pairs = []
+    for j, outer in enumerate(rules):
+        for p in term.positions(outer.lhs):
+            if isinstance(term.subterm_at(outer.lhs, p), Var):
+                continue
+            # INNER keeps the positions below the root, OUTER the root
+            if scope is not Scope.ALL and (p == ()) != (scope is Scope.OUTER):
+                continue
+            for i, inner in enumerate(rules):
+                if p == () and i == j:
+                    continue
+                rho1, rho2 = rule.rename_apart(inner, outer)
+                sigma = substitution.unify(rho1.lhs, term.subterm_at(rho2.lhs, p))
+                if sigma is None:
+                    continue
+                top = substitution.apply(sigma, rho2.lhs)
+                left = term.replace_at(top, p, substitution.apply(sigma, rho1.rhs))
+                right = substitution.apply(sigma, rho2.rhs)
+                pairs.append(criticalpairs.CriticalPair(top, left, right, inner, outer, p, i, j))
+    return pairs
+
+
+def assert_critical_pairs_replay_the_reference(rules):
+    count = 0
+    for scope in Scope:
+        got = criticalpairs.critical_pairs(rules, scope)
+        want = reference_critical_pairs(rules, scope)
+        assert got == want, (rules, scope)
+        # the same tagged variables, each with its side and name
+        assert repr(got) == repr(want), (rules, scope)
+        count += len(got)
+    return count
+
+
+def test_critical_pairs_replay_the_reference():
+    systems = [problem.parse(path.read_text()).strict_rules for path in sorted(CORPUS.glob("*.trs"))]
+    rng = random.Random(57)
+    systems += [root_overlapping_system(rng) for _ in range(300)]
+    assert sum(map(assert_critical_pairs_replay_the_reference, systems)) > 5000
+
+
+@settings(max_examples=60)
+@given(st.lists(rule_strategy(max_leaves=5), min_size=1, max_size=3))
+def test_critical_pairs_replay_the_reference_on_random_rules(rules):
+    assert_critical_pairs_replay_the_reference(rules)
 
 
 @settings(max_examples=60)
