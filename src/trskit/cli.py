@@ -4,16 +4,15 @@ Exit codes: 0 for success or an affirmative verdict, 1 for a negative
 finding (invalid rules in `props`, NO from `check-lc`), 2 for MAYBE and
 for input or usage errors (told apart by the stderr message and by the
 ``status`` field of ``--json`` output).  `main` loads the problem file
-once and hands the `problem.Problem` to the command.  A failure to write
-the output is also exit 2, reported on stderr only: no JSON error
-document follows the partial output.  `main` flushes stdout before it
-returns, so that a failed write of buffered output is met there, and
-closes stdout after a failed write, so that the interpreter's flush at
-exit does not fail on the same text again.  Every stderr line goes
-through `_say`, which drops a line that stderr cannot take and closes
-stderr, so that an unwritable stderr changes no exit code.  The help and
-usage text that argparse writes itself is flushed in `main` too: a usage
-error keeps exit 2, and help that stdout cannot take is exit 2.
+once and hands the `problem.Problem` to the command.
+
+`main` owns both standard streams.  Whatever goes to stdout (a command's
+output, a refusal's ``--json`` document, argparse's help) fails in one
+way: a stdout that is full, closed or cannot encode the text is exit 2
+with one ``trskit: error:`` line on stderr, none after a refusal's own,
+and no JSON error document after partial output.  Such a stdout is
+closed, so that the interpreter's flush at exit does not fail on it
+again.  A line that stderr cannot take is lost and changes nothing.
 
 Commands run on the calling thread at the interpreter's recursion limit:
 the library's traversals keep their own stacks, and so does the writer of
@@ -29,7 +28,10 @@ dicts, and hands the text over in pieces.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
+import io
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -48,85 +50,64 @@ _STRATEGY_FLAGS = {
 
 
 def main(argv=None) -> int:
+    out, err = io.StringIO(), io.StringIO()
     try:
-        args = _arg_parser().parse_args(argv)
-    except SystemExit as e:
-        # argparse wrote its help or usage text itself, past `_say`.
-        return _parser_exit(e.code)
-    except OSError as e:
-        # Before Python 3.11, argparse lets a failed write of its text escape.
-        _say(f"trskit: error: {e}")
-        return _parser_exit(2)
-    if getattr(args, "max_steps", 0) < 0:
-        return _fail(args, f"--max-steps must be at least 0, not {args.max_steps}")
-    try:
-        p = _load(args)
-    except (problem.ParseError, OSError) as e:
-        return _fail(args, str(e))
-    try:
-        code = globals()[f"cmd_{args.command}"](args, p)
+        if sys.stdout is None or sys.stdout.closed:
+            raise OSError(errno.EBADF, "stdout is closed")
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args = _arg_parser().parse_args(argv)
+            if getattr(args, "max_steps", 0) < 0:
+                raise _Refusal(f"--max-steps must be at least 0, not {args.max_steps}")
+            code = globals()[f"cmd_{args.command}"](args, _load(args))
+        except SystemExit as e:
+            code = e.code
+        except (_Refusal, problem.ParseError, InvalidRuleError) as e:
+            code = 2
+            print(f"trskit: error: {e}", file=err)
+            if args.json:
+                _write_json({"status": "error", "message": str(e)}, out.write)
+                print(file=out)
+        # argparse's help and usage text and a refusal, written as output is
+        if err.getvalue():
+            _say(err.getvalue(), end="")
+        if out.getvalue():
+            sys.stdout.write(out.getvalue())
         sys.stdout.flush()
         return code
-    except (problem.ParseError, InvalidRuleError) as e:
-        return _fail(args, str(e))
-    except OSError as e:
-        # The output failed part-way, so no JSON document can follow it.
-        _say(f"trskit: error: {e}")
+    except (OSError, UnicodeEncodeError) as e:
+        # stdout failed or is not there; a refusal's line is the one error
+        if not err.getvalue():
+            _say(f"trskit: error: {e}")
         _close_failed(sys.stdout)
         return 2
 
 
-def _fail(args, message: str) -> int:
-    _say(f"trskit: error: {message}")
-    if args.json:
-        try:
-            _emit_json({"status": "error", "message": message})
-            sys.stdout.flush()
-        except OSError:
-            # The refusal is on stderr already; the output that failed
-            # cannot carry it.
-            _close_failed(sys.stdout)
-    return 2
+class _Refusal(Exception):
+    """An input error that the CLI finds itself: a file it cannot read or a
+    negative step budget."""
 
 
-def _parser_exit(code) -> int:
-    """``code``, once the text argparse wrote is flushed; exit 2 if stdout
-    cannot take it.  A stream whose flush fails is closed, so that the
-    interpreter's flush at exit does not fail on it again."""
-    try:
-        sys.stdout.flush()
-    except OSError as e:
-        _say(f"trskit: error: {e}")
-        _close_failed(sys.stdout)
-        code = 2
-    if not sys.stderr.closed:
-        try:
-            sys.stderr.flush()
-        except OSError:
-            _close_failed(sys.stderr)
-    return code
-
-
-def _say(line: str) -> None:
-    """Print ``line`` on stderr.  A stderr that cannot take it is closed and
-    the line is lost, so the command keeps its own exit code and output."""
+def _say(text: str, end: str = "\n") -> None:
+    """Print ``text`` on stderr.  A stderr that cannot take it is closed and
+    the text is lost, so the command keeps its own exit code and output."""
     err = sys.stderr
-    if not err.closed:
+    if err is not None and not err.closed:
         try:
-            print(line, file=err)
-        except OSError:
+            print(text, file=err, end=end)
+        except (OSError, UnicodeEncodeError):
             _close_failed(err)
 
 
 def _close_failed(stream) -> None:
-    """Close ``stream`` after a write to it failed.  A buffered stream keeps
-    the text it could not write, and the interpreter's flush at exit would
-    fail on it again; a closed stream is not flushed at exit.  Closing tries
-    that flush once more, and its error is the one already reported."""
-    try:
-        stream.close()
-    except OSError:
-        pass
+    """Close ``stream``, if there is one, after a write to it failed.  A
+    buffered stream keeps the text it could not write, and the
+    interpreter's flush at exit would fail on it again; a closed stream is
+    not flushed at exit.  Closing tries that flush once more, and its error
+    is the one already reported."""
+    if stream is not None:
+        with contextlib.suppress(OSError):
+            stream.close()
 
 
 def _emit_json(obj) -> None:
@@ -223,8 +204,11 @@ def _as_is(t: term.Term) -> term.Term:
 
 
 def _load(args) -> problem.Problem:
-    with open(args.file, encoding="latin-1", newline="") as handle:
-        text = handle.read()
+    try:
+        with open(args.file, encoding="latin-1", newline="") as handle:
+            text = handle.read()
+    except OSError as e:
+        raise _Refusal(e) from None
     p = problem.parse(text, check_arity=not args.no_arity_check)
     if p.has_theory:
         _say("trskit: warning: THEORY section present; its semantics are ignored")
@@ -318,8 +302,6 @@ def cmd_normalize(args, p: problem.Problem) -> int:
 
 def cmd_check_lc(args, p: problem.Problem) -> int:
     if p.weak_rules:
-        # refused by `main`, as input errors are: `_fail` may close stdout,
-        # which `main` flushes after a command
         raise InvalidRuleError("weak rules present; the local-confluence check needs a strict TRS")
     verdict = analysis.check_local_confluence(p.strict_rules, args.max_steps)
     if isinstance(verdict, analysis.LocallyConfluent):

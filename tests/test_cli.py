@@ -2,10 +2,12 @@ import contextlib
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+from json.scanner import py_make_scanner
 from pathlib import Path
 
 import pytest
@@ -279,33 +281,112 @@ def test_output_failure_is_reported_once(tmp_path, capsys, argv, room):
     assert bool(out.text) == (room > 0 and "--json" in argv)
 
 
-def run_child(argv, *, stdout, stderr, buffered=True, flags=()):
+# a problem whose canonical text an ASCII-only stdout cannot encode
+LATIN1_PROBLEM = "(VAR x)\n(RULES\nf\xe9(x) -> x\n)\n"
+
+
+def test_output_failure_is_reported_once_by_every_command(tmp_path):
+    # every command, its refusals and argparse's own exits, under every
+    # stdout and stderr that fails: no exception leaves main, a failed
+    # stdout is exit 2 with one error line, and a failed stderr changes
+    # neither the exit code nor the output
+    peano = str(CORPUS / "peano_plus.trs")
+    latin1 = tmp_path / "latin1.trs"
+    latin1.write_text(LATIN1_PROBLEM, encoding="latin-1")
+    commands = [
+        ["parse", peano], ["props", peano], ["cps", peano], ["rewrite", peano, "plus(s(0),0)"],
+        ["normalize", peano, "plus(s(0),0)"], ["check-lc", peano], ["parse", str(latin1)], ["cps", str(latin1)],
+        # refusals
+        ["parse", "does-not-exist.trs"], ["normalize", peano, "plus(0)"],
+        ["check-lc", str(CORPUS / "relative_pair.trs")], ["check-lc", peano, "--max-steps", "-1"],
+    ]
+    argvs = [argv + flags for argv in commands for flags in ([], ["--json"])] + [["--help"], ["bogus"]]
+    for argv in argvs:
+        clean = io.StringIO()
+        with contextlib.redirect_stdout(clean), contextlib.redirect_stderr(io.StringIO()):
+            want = (cli.main(argv), clean.getvalue())
+        stdouts = {
+            "clean": io.StringIO,
+            "none": lambda: None,
+            "no room": lambda: FullOutput(0),
+            "some room": lambda: FullOutput(len(want[1]) // 2),
+            "ascii": lambda: io.TextIOWrapper(io.BytesIO(), encoding="ascii"),
+        }
+        stderrs = {"clean": io.StringIO, "full": lambda: FullOutput(0), "none": lambda: None}
+        for out_kind, err_kind in itertools.product(stdouts, stderrs):
+            out, err = stdouts[out_kind](), stderrs[err_kind]()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            case = (argv, out_kind, err_kind)
+            if out_kind == "clean" or (out_kind == "ascii" and want[1].isascii()):
+                text = out.getvalue() if out_kind == "clean" else out.buffer.getvalue().decode("ascii")
+                assert (code, text) == want, case
+                continue
+            assert code == 2, case
+            if err_kind == "clean":
+                errors = [line for line in err.getvalue().splitlines() if line.startswith("trskit: error:")]
+                assert len(errors) == 1, case
+            if isinstance(out, FullOutput) and out.writes_after_failure is not None:
+                assert out.writes_after_failure == 0 and out.closed, case
+
+
+# a stream a child process starts without, as after ``>&-``
+CLOSED = "closed"
+
+
+def run_child(argv, *, stdout, stderr, buffered=True, flags=(), encoding=None):
     """Run the CLI in a child process; ``buffered`` leaves Python's default
-    block-buffered stdout, as a shell would."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    block-buffered stdout, as a shell would, and ``encoding`` is the one
+    its standard streams are given."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "PYTHONIOENCODING")}
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
+    if encoding:
+        env["PYTHONIOENCODING"] = encoding
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *flags, "-m", "trskit.cli", *argv], stdout=stdout,
-                          stderr=stderr, env=env, text=True, timeout=60)
+    closed = [fd for fd, stream in ((1, stdout), (2, stderr)) if stream == CLOSED]
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "trskit.cli", *argv],
+        stdout=subprocess.DEVNULL if stdout == CLOSED else stdout,
+        stderr=subprocess.DEVNULL if stderr == CLOSED else stderr,
+        preexec_fn=(lambda: [os.close(fd) for fd in closed]) if closed else None,
+        env=env, text=True, timeout=60,
+    )
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize("dev_mode", [False, True])
 @pytest.mark.parametrize(
-    "argv",
+    "argv, stdout",
     [
-        ["parse", "--json", str(CORPUS / "peano_plus.trs")],
-        ["parse", "--json", "does-not-exist.trs"],
-        ["normalize", "--json", "--max-steps", "-1", str(CORPUS / "peano_plus.trs"), "plus(0,0)"],
-    ],
+        # a full stdout keeps the ids argv0, argv1, ... of the first cases
+        pytest.param(argv, stdout, id=f"argv{i}" if stdout == "full" else f"argv{i}-{stdout}")
+        for stdout in ["full", CLOSED]
+        for i, argv in enumerate([
+            ["parse", "--json", str(CORPUS / "peano_plus.trs")],
+            ["parse", "--json", "does-not-exist.trs"],
+            ["normalize", "--json", "--max-steps", "-1", str(CORPUS / "peano_plus.trs"), "plus(0,0)"],
+            ["parse", str(CORPUS / "peano_plus.trs")],
+            ["props", str(CORPUS / "peano_plus.trs")],
+            ["check-lc", str(CORPUS / "peano_plus.trs")],
+            ["--help"],
+        ])
+    ]
+    + [pytest.param(["parse", "LATIN1"], "ascii", id="latin1-ascii")],
 )
-def test_buffered_output_failure_is_reported_once(argv, dev_mode):
+def test_buffered_output_failure_is_reported_once(tmp_path, argv, stdout, dev_mode):
     # a child process with Python's default block-buffered stdout writes
     # into its buffer without error, so the failure shows at the flush:
-    # main must meet it, and the interpreter's own flush at exit must not
+    # main must meet it, and the interpreter's own flush at exit must not;
+    # a closed stdout, and text that stdout cannot encode, fail as a full
+    # stdout does
+    latin1 = tmp_path / "latin1.trs"
+    latin1.write_text(LATIN1_PROBLEM, encoding="latin-1")
+    argv = [str(latin1) if a == "LATIN1" else a for a in argv]
     with open("/dev/full", "w") as full:
-        done = run_child(argv, stdout=full, stderr=subprocess.PIPE, flags=["-X", "dev"] if dev_mode else [])
+        done = run_child(argv, stdout={"full": full, CLOSED: CLOSED, "ascii": subprocess.PIPE}[stdout],
+                         stderr=subprocess.PIPE, flags=["-X", "dev"] if dev_mode else [],
+                         encoding="ascii" if stdout == "ascii" else None)
     assert done.returncode == 2, done.stderr
     assert sum(line.startswith("trskit: error:") for line in done.stderr.splitlines()) == 1, done.stderr
     assert "Exception ignored" not in done.stderr and "Traceback" not in done.stderr, done.stderr
@@ -314,25 +395,32 @@ def test_buffered_output_failure_is_reported_once(argv, dev_mode):
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize(
-    "argv, stdout",
+    "argv, stdout, stderr",
     [
-        # a warning that cannot be written: the command's own code and output
-        (["parse", str(CORPUS / "peano_plus.trs")], "pipe"),
-        (["cps", str(CORPUS / "relative_pair.trs")], "pipe"),
-        # refusals
-        (["parse", "does-not-exist.trs"], "pipe"),
-        (["check-lc", str(CORPUS / "relative_pair.trs")], "pipe"),
-        (["check-lc", "--json", str(CORPUS / "relative_pair.trs")], "pipe"),
-        # output failures, with nowhere to report them
-        (["parse", "--json", str(CORPUS / "dup_erase.trs")], "full"),
-        # both streams into one pipe whose reader has gone, as in `2>&1 | head`
-        (["cps", str(CORPUS / "relative_pair.trs")], "closed"),
+        # an unwritable stderr keeps the ids argv0-pipe, ... of the first cases
+        pytest.param(argv, stdout, stderr, id=f"argv{i}-{stdout}" + ("" if stderr == "full" else "-no-stderr"))
+        for stderr in ["full", CLOSED]
+        for i, (argv, stdout) in enumerate([
+            # a warning that cannot be written: the command's own code and output
+            (["parse", str(CORPUS / "peano_plus.trs")], "pipe"),
+            (["cps", str(CORPUS / "relative_pair.trs")], "pipe"),
+            # refusals
+            (["parse", "does-not-exist.trs"], "pipe"),
+            (["check-lc", str(CORPUS / "relative_pair.trs")], "pipe"),
+            (["check-lc", "--json", str(CORPUS / "relative_pair.trs")], "pipe"),
+            # output failures, with nowhere to report them
+            (["parse", "--json", str(CORPUS / "dup_erase.trs")], "full"),
+            # both streams into one pipe whose reader has gone, as in `2>&1 | head`
+            (["cps", str(CORPUS / "relative_pair.trs")], "closed"),
+            # a usage error: its text is stderr's alone
+            (["bogus"], "pipe"),
+        ])
     ],
 )
-def test_unwritable_stderr_changes_no_exit_code(capsys, argv, stdout, buffered):
-    # a line that stderr cannot take is lost; it is neither a traceback
-    # with exit 1, the code of a NO verdict, nor exit 120 from the
-    # interpreter's flush at exit
+def test_unwritable_stderr_changes_no_exit_code(capsys, argv, stdout, buffered, stderr):
+    # a line that stderr cannot take, or a stderr the process starts
+    # without, is lost; it is neither a traceback with exit 1, the code of
+    # a NO verdict, nor exit 120 from the interpreter's flush at exit
     want_code, want_out, _ = run(capsys, *argv)
     with contextlib.ExitStack() as stack:
         full = stack.enter_context(open("/dev/full", "w"))
@@ -340,10 +428,10 @@ def test_unwritable_stderr_changes_no_exit_code(capsys, argv, stdout, buffered):
             reader, writer = os.pipe()
             os.close(reader)
             stack.callback(os.close, writer)
-            done = run_child(argv, stdout=writer, stderr=writer, buffered=buffered)
+            out = err = writer
         else:
-            done = run_child(argv, stdout=subprocess.PIPE if stdout == "pipe" else full, stderr=full,
-                             buffered=buffered)
+            out, err = (subprocess.PIPE if stdout == "pipe" else full), full
+        done = run_child(argv, stdout=out, stderr=CLOSED if stderr == CLOSED else err, buffered=buffered)
     if stdout == "pipe":
         assert (done.returncode, done.stdout) == (want_code, want_out)
     else:
@@ -374,18 +462,27 @@ def test_argparse_text_and_exit_code_are_its_own(monkeypatch, capsys, argv):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", ARGPARSE_EXITS)
-def test_argparse_output_failure_is_not_exit_120(argv):
+@pytest.mark.parametrize(
+    "argv, buffered",
+    [
+        # buffered runs keep the ids argv0, argv1, ... of the first cases
+        pytest.param(argv, buffered, id=f"argv{i}" if buffered else f"argv{i}-unbuffered")
+        for buffered in [True, False]
+        for i, argv in enumerate(ARGPARSE_EXITS)
+    ],
+)
+def test_argparse_output_failure_is_not_exit_120(argv, buffered):
     # under Python's default buffering argparse's text fails only at a
     # flush, which main must meet before the interpreter's flush at exit
-    # does: a usage error keeps exit 2, and help that stdout cannot take
-    # is exit 2 with one error line
+    # does, and unbuffered it fails at its write, which argparse itself
+    # lets pass from Python 3.11 on: a usage error keeps exit 2, and help
+    # that stdout cannot take is exit 2 with one error line
     with open("/dev/full", "w") as full:
         if "--help" in argv:
-            done = run_child(argv, stdout=full, stderr=subprocess.PIPE)
+            done = run_child(argv, stdout=full, stderr=subprocess.PIPE, buffered=buffered)
             assert done.stderr == "trskit: error: [Errno 28] No space left on device\n"
         else:
-            done = run_child(argv, stdout=subprocess.PIPE, stderr=full)
+            done = run_child(argv, stdout=subprocess.PIPE, stderr=full, buffered=buffered)
             assert done.stdout == ""
     assert done.returncode == 2
 
@@ -677,11 +774,15 @@ def invocations(draw):
 
 def loads_deep(text):
     """`json.loads` past the recursion limit: `normalize FILE a --json` under
-    ``a -> f(a)`` writes a term 1000 steps deep, which nests 2000 levels."""
+    ``a -> f(a)`` writes a term 1000 steps deep, which nests 2000 levels.
+    The pure-Python scanner decodes it, because the C scanner of Python
+    3.12 keeps its own recursion limit."""
+    decoder = json.JSONDecoder()
+    decoder.scan_once = py_make_scanner(decoder)
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(max(saved, 10_000))
     try:
-        return json.loads(text)
+        return decoder.decode(text)
     finally:
         sys.setrecursionlimit(saved)
 
